@@ -14,7 +14,7 @@
 
 open Shades_graph
 module Engine = Shades_localsim.Engine
-module Sharded = Shades_localsim.Sharded_engine
+module Exec = Shades_localsim.Exec
 
 (* Constant-size messages: times the executor (adjacency walk, inbox
    plumbing, barriers), not view construction. *)
@@ -47,24 +47,22 @@ let run n rounds domains reps enforce =
   let advice = Shades_bits.Bitstring.empty in
   let alg = countdown rounds in
   let domains =
-    match domains with Some d -> d | None -> Sharded.default_domains ()
+    match domains with Some d -> d | None -> Shades_pool.default_domains ()
   in
   Printf.printf
     "engine shootout: n=%d rounds=%d domains=%d reps=%d (recommended \
      domains on this machine: %d)\n%!"
     n rounds domains reps
     (Domain.recommended_domain_count ());
-  let seq, t_seq = best_of reps (fun () -> Engine.run g ~advice alg) in
+  let seq, t_seq = best_of reps (fun () -> Exec.run Exec.default g ~advice alg) in
   Printf.printf "  sequential: %8.1f ms\n%!" (t_seq *. 1e3);
   let shd, t_shd =
-    best_of reps (fun () -> Sharded.run ~domains g ~advice alg)
+    let exec = { Exec.default with timing = Sharded (Some domains) } in
+    best_of reps (fun () -> Exec.run exec g ~advice alg)
   in
   Printf.printf "  sharded:    %8.1f ms  (x%.2f vs sequential)\n%!"
     (t_shd *. 1e3) (t_seq /. t_shd);
-  if seq.Engine.outputs <> shd.Engine.outputs
-     || seq.Engine.rounds <> shd.Engine.rounds
-     || seq.Engine.messages <> shd.Engine.messages
-  then begin
+  if seq <> shd then begin
     prerr_endline "engine shootout: FAILED — sharded result diverges from \
                    sequential";
     exit 1

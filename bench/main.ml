@@ -193,11 +193,12 @@ let bench_engine =
              !acc));
       Test.make ~name:"seq_countdown_n2000"
         (stage (fun () ->
-             Shades_localsim.Engine.run g ~advice:no_advice (countdown 3)));
+             Shades_localsim.Exec.(run default) g ~advice:no_advice
+               (countdown 3)));
       Test.make ~name:"sharded_countdown_d2_n2000"
         (stage (fun () ->
-             Shades_localsim.Sharded_engine.run ~domains:2 g
-               ~advice:no_advice (countdown 3)));
+             Shades_localsim.Exec.(run { default with timing = Sharded (Some 2) })
+               g ~advice:no_advice (countdown 3)));
     ]
 
 (* --- E25-E29 extensions: reconstruction, tradeoff, exact advice --- *)
@@ -228,8 +229,8 @@ let bench_extensions =
              Size_advice.run Size_advice.complete_port_path_election g_small));
       Test.make ~name:"async_flooding_n40"
         (stage (fun () ->
-             Shades_localsim.Async_engine.run g
-               ~advice:Shades_bits.Bitstring.empty (countdown 3)));
+             Shades_localsim.Exec.(run { default with timing = Async (Seeded 0) })
+               g ~advice:Shades_bits.Bitstring.empty (countdown 3)));
       Test.make ~name:"pe_sharable_u41"
         (stage (fun () -> Min_advice.pe_sharable ~depth:1 ua ub));
       Test.make ~name:"labelings_path5"

@@ -138,10 +138,8 @@ let e4_thm_2_2 () =
   let capture engine =
     let r = Trace.recorder () in
     let tracer = Trace.emit r in
-    (match engine with
-    | Trace.Sync -> ignore (Scheme.run ~tracer Select_by_view.scheme g)
-    | Trace.Async { seed } ->
-        ignore (Scheme.run_async ~seed ~tracer Select_by_view.scheme g));
+    let exec = Shades_localsim.Exec.of_trace_engine engine in
+    ignore (Scheme.run ~exec ~tracer Select_by_view.scheme g);
     Trace.capture r
       {
         Trace.engine;
@@ -605,7 +603,10 @@ let e28_async () =
   let ok = ref true in
   List.iter
     (fun seed ->
-      let async = Scheme.run_async ~seed Select_by_view.scheme g in
+      let exec =
+        { Shades_localsim.Exec.default with timing = Async (Seeded seed) }
+      in
+      let async = Scheme.run ~exec Select_by_view.scheme g in
       if async.Scheme.outputs <> sync.Scheme.outputs then ok := false;
       if async.Scheme.rounds <> sync.Scheme.rounds then ok := false)
     [ 0; 1; 2; 3; 4 ];

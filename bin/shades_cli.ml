@@ -34,10 +34,11 @@ let pp_psi = function Some k -> string_of_int k | None -> "infinite"
    identical to the sequential engine for every domain count, so these
    flags never change what a command measures — only how fast. *)
 
-let strategy_of_flags ~engine ~domains =
+let exec_of_flags ~engine ~domains =
+  let module Exec = Shades_localsim.Exec in
   match String.lowercase_ascii engine with
-  | "sequential" | "seq" -> None
-  | "sharded" -> Some (Shades_runtime.Sweep.Sharded { domains })
+  | "sequential" | "seq" -> Exec.default
+  | "sharded" -> { Exec.default with timing = Sharded domains }
   | e -> failwith ("unknown engine: " ^ e ^ " (expected sequential or sharded)")
 
 let engine_flag_arg =
@@ -105,12 +106,8 @@ let views_cmd =
 let elect_cmd =
   let run spec task engine domains =
     let g = parse_graph spec in
-    let run_scheme scheme =
-      match strategy_of_flags ~engine ~domains with
-      | None | Some Shades_runtime.Sweep.Sequential -> Scheme.run scheme g
-      | Some (Shades_runtime.Sweep.Sharded { domains }) ->
-          Scheme.run_sharded ?domains scheme g
-    in
+    let exec = exec_of_flags ~engine ~domains in
+    let run_scheme scheme = Scheme.run ~exec scheme g in
     let report verify pp r =
       match verify g r.Scheme.outputs with
       | Ok leader ->
@@ -287,9 +284,9 @@ let sweep_cmd =
       domains out sharded tiny compare_with strict trace_out engine
       engine_domains dry_run =
     let domains =
-      match domains with Some d -> d | None -> Pool.default_domains ()
+      match domains with Some d -> d | None -> Shades_pool.default_domains ()
     in
-    let strategy = strategy_of_flags ~engine ~domains:engine_domains in
+    let exec = exec_of_flags ~engine ~domains:engine_domains in
     (* Sweep-level registry: J-class points skipped by the node budget
        are tallied here — the grid shrinking must never be silent. *)
     let sweep_metrics = Metrics.create () in
@@ -297,20 +294,20 @@ let sweep_cmd =
       if tiny then
         (* the smallest honest grid — the CI smoke test and the grid
            `make check` gates against the committed baseline *)
-        (Sweep.tiny_jobs ?strategy (), "tiny grid")
+        (Sweep.tiny_jobs ~exec (), "tiny grid")
       else begin
         let delta = Sweep.range "delta" ~lo:delta_lo ~hi:delta_hi in
         let k = Sweep.range "k" ~lo:k_lo ~hi:k_hi in
         let g_jobs () =
-          Sweep.gclass_jobs ?strategy
+          Sweep.gclass_jobs ~exec
             (Sweep.cross [ delta; k; Sweep.axis "i" is ])
         in
         let u_jobs () =
-          Sweep.uclass_jobs ?strategy
+          Sweep.uclass_jobs ~exec
             (Sweep.cross [ delta; k; Sweep.axis "sigma" sigmas ])
         in
         let j_jobs () =
-          Sweep.jclass_jobs ?strategy ~max_order ~metrics:sweep_metrics
+          Sweep.jclass_jobs ~exec ~max_order ~metrics:sweep_metrics
             (Sweep.cross [ Sweep.axis "mu" mus; k; Sweep.axis "z_eff" zeffs ])
         in
         let jobs =
@@ -629,12 +626,8 @@ let trace_exits =
    {!Replay.run} consumes.  `trace record` stores "task graph-spec" in
    the label, so `trace replay` can rebuild exactly this thunk. *)
 let trace_exec ~task ~engine g =
-  let go scheme emit =
-    match engine with
-    | Trace.Sync -> ignore (Scheme.run ~tracer:emit scheme g)
-    | Trace.Async { seed } ->
-        ignore (Scheme.run_async ~seed ~tracer:emit scheme g)
-  in
+  let exec = Shades_localsim.Exec.of_trace_engine engine in
+  let go scheme emit = ignore (Scheme.run ~exec ~tracer:emit scheme g) in
   match String.lowercase_ascii task with
   | "s" -> go Select_by_view.scheme
   | "pe" -> go Map_advice.port_election
@@ -861,12 +854,10 @@ let trace_bless_cmd =
   let run dir domains engine engine_domains =
     let open Shades_runtime in
     let domains =
-      match domains with Some d -> d | None -> Pool.default_domains ()
+      match domains with Some d -> d | None -> Shades_pool.default_domains ()
     in
     let jobs =
-      Sweep.tiny_jobs
-        ?strategy:(strategy_of_flags ~engine ~domains:engine_domains)
-        ()
+      Sweep.tiny_jobs ~exec:(exec_of_flags ~engine ~domains:engine_domains) ()
     in
     let traced, _ = Sweep.run_traced ~domains jobs in
     let keyed =
@@ -897,12 +888,10 @@ let trace_gate_cmd =
   let run dir json_out domains engine engine_domains =
     let open Shades_runtime in
     let domains =
-      match domains with Some d -> d | None -> Pool.default_domains ()
+      match domains with Some d -> d | None -> Shades_pool.default_domains ()
     in
     let jobs =
-      Sweep.tiny_jobs
-        ?strategy:(strategy_of_flags ~engine ~domains:engine_domains)
-        ()
+      Sweep.tiny_jobs ~exec:(exec_of_flags ~engine ~domains:engine_domains) ()
     in
     let _, report = Sweep.run_traced ~domains ~baseline:dir jobs in
     match report with

@@ -39,7 +39,7 @@ let () =
   (* Elect a leader in minimum time with the Theorem 2.2 scheme: the
      oracle hands every node the same advice string; the nodes exchange
      views over the simulated network and decide. *)
-  let { Scheme.outputs; rounds; advice_bits } =
+  let { Scheme.outputs; rounds; advice_bits; _ } =
     Scheme.run Select_by_view.scheme g
   in
   (match Verify.selection g outputs with

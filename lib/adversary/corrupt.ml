@@ -1,6 +1,7 @@
 module Bitstring = Shades_bits.Bitstring
 module Port_graph = Shades_graph.Port_graph
 module Engine = Shades_localsim.Engine
+module Exec = Shades_localsim.Exec
 module Task = Shades_election.Task
 module Scheme = Shades_election.Scheme
 module Map_advice = Shades_election.Map_advice
@@ -104,10 +105,12 @@ let prepare ?(slack = 2) (Shade { scheme; verify; _ }) g =
      advice can decode to a map demanding an absurd view depth, and
      views grow exponentially with rounds — over-budget is Detected,
      not a stuck process. *)
-  let max_rounds = reference.Scheme.rounds + slack in
+  let exec =
+    { Exec.default with max_rounds = Some (reference.Scheme.rounds + slack) }
+  in
   let classify op =
     let advice = mutate ~oracle:scheme.Scheme.oracle g op in
-    match Scheme.run_with_advice ~max_rounds scheme g ~advice with
+    match Scheme.run_with_advice ~exec scheme g ~advice with
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception Engine.Did_not_terminate r ->
         Detected

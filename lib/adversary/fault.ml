@@ -1,5 +1,6 @@
 module Port_graph = Shades_graph.Port_graph
 module Engine = Shades_localsim.Engine
+module Exec = Shades_localsim.Exec
 module Full_info = Shades_localsim.Full_info
 module Scheme = Shades_election.Scheme
 
@@ -22,10 +23,12 @@ let run ?max_rounds (scheme : _ Scheme.t) g ~faults =
   let faults = normalize ~n faults in
   let advice = scheme.Scheme.oracle g in
   match
-    Full_info.run_adaptive_with_faults ?max_rounds g ~advice
-      ~rounds_of:scheme.Scheme.rounds_of ~decide:scheme.Scheme.decide ~faults
+    Full_info.run_adaptive
+      ~exec:{ Exec.default with faults; max_rounds }
+      g ~advice ~rounds_of:scheme.Scheme.rounds_of
+      ~decide:scheme.Scheme.decide
   with
-  | outputs, rounds ->
+  | { Exec.outputs; rounds; _ } ->
       let decided =
         Array.fold_left
           (fun acc o -> if Option.is_some o then acc + 1 else acc)

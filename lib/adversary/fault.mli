@@ -1,8 +1,8 @@
 (** Crash-stop fault campaigns against election schemes.
 
-    The engines execute any fault plan exactly
-    ({!Shades_localsim.Engine.run_with_faults}, byte-identical under
-    sharding); this module runs a {e scheme} under a plan and names what
+    The simulator executes any fault plan exactly
+    ({!Shades_localsim.Exec.run}, byte-identical under sharding); this
+    module runs a {e scheme} under a plan and names what
     happened.  The paper's algorithms are full-information protocols
     with no fault tolerance whatsoever — a crashed neighbour starves a
     live node's view exchange — so the expected outcome on any
@@ -35,8 +35,9 @@ val run :
   Shades_graph.Port_graph.t ->
   faults:Shades_localsim.Engine.crash list ->
   outcome
-(** Execute the scheme under the plan and classify.  [Out_of_memory]
-    and [Stack_overflow] are never swallowed. *)
+(** Execute the scheme sequentially under the plan (and the round
+    budget [max_rounds], {!Shades_localsim.Exec.t}) and classify.
+    [Out_of_memory] and [Stack_overflow] are never swallowed. *)
 
 val describe : outcome -> string
 (** One human-readable line. *)

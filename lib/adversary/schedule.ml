@@ -26,7 +26,7 @@ let uniform g d =
   make g (fun ~v:_ ~port:_ -> d)
 
 (* Seeded per-edge draws in deterministic (v, p) order — the plan-space
-   analogue of {!Async_engine.run}'s per-push draws.  The two differ:
+   analogue of [Exec.Seeded]'s per-push draws.  The two differ:
    here a directed edge keeps one delay for the whole run (a "slow
    link"), there every wire redraws (a "jittery link"). *)
 let of_seed g ~seed =
@@ -42,7 +42,10 @@ let set plan ~v ~port d =
   { delays }
 
 let makespan scheme g plan =
-  snd (Scheme.run_plan ~delay:(delay_fn plan) scheme g)
+  let exec =
+    { Shades_localsim.Exec.default with timing = Async (Plan (delay_fn plan)) }
+  in
+  (Scheme.run ~exec scheme g).Scheme.makespan
 
 let sweep_seeds scheme g ~seeds =
   List.map (fun seed -> (seed, makespan scheme g (of_seed g ~seed))) seeds

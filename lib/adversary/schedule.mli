@@ -8,7 +8,7 @@
     {e when}.  This module makes that concrete: a {!plan} assigns a
     fixed positive delay to every directed edge, and {!search} looks for
     the plan maximizing the {e makespan} (virtual completion time,
-    {!Shades_localsim.Async_engine.run_plan}) — the quantity asynchrony
+    {!Shades_localsim.Exec.result}) — the quantity asynchrony
     does surrender to the adversary.  Everything here is deterministic;
     randomness enters only through explicit seeds ({!of_seed},
     {!sweep_seeds}). *)
@@ -32,8 +32,9 @@ val of_seed : Shades_graph.Port_graph.t -> seed:int -> plan
     async engine (which redraws per wire; this draws once per edge). *)
 
 val delay_fn : plan -> round:int -> v:int -> port:int -> float
-(** The plan as {!Shades_localsim.Async_engine.run_plan} consumes it
-    (the [round] argument is ignored — plans are round-independent). *)
+(** The plan as an [Exec.Async (Plan _)] delay assignment
+    ({!Shades_localsim.Exec.delay_fn}; the [round] argument is ignored
+    — plans are round-independent). *)
 
 val set : plan -> v:int -> port:int -> float -> plan
 (** Functional single-edge update (the search's move operator).
@@ -42,7 +43,8 @@ val set : plan -> v:int -> port:int -> float -> plan
 val makespan :
   'o Shades_election.Scheme.t -> Shades_graph.Port_graph.t -> plan -> float
 (** Run the scheme asynchronously under the plan and report the virtual
-    completion time ({!Shades_election.Scheme.run_plan}). *)
+    completion time ({!Shades_election.Scheme.run} under
+    [Async (Plan (delay_fn plan))]). *)
 
 val sweep_seeds :
   'o Shades_election.Scheme.t ->

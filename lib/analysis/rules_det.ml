@@ -63,7 +63,7 @@ let rec ambient_randomness =
                   (name
                   ^ " draws from the ambient global generator; thread an \
                      explicitly seeded Random.State through the caller \
-                     instead (cf. Async_engine's seeded delays)")
+                     instead (cf. Exec's [Seeded] delay schedule)")
               else None));
     }
 

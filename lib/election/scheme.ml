@@ -1,3 +1,5 @@
+module Exec = Shades_localsim.Exec
+
 type 'o t = {
   name : string;
   oracle : Shades_graph.Port_graph.t -> Shades_bits.Bitstring.t;
@@ -5,42 +7,30 @@ type 'o t = {
   decide : advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o;
 }
 
-type 'o run = { outputs : 'o array; rounds : int; advice_bits : int }
+type 'o run = {
+  outputs : 'o array;
+  rounds : int;
+  messages : int;
+  makespan : float;
+  advice_bits : int;
+}
 
-let run_with_advice ?max_rounds ?on_round ?tracer scheme g ~advice =
-  let outputs, rounds =
-    Shades_localsim.Full_info.run_adaptive ?max_rounds ?on_round ?tracer g
-      ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
+let run_with_advice ?(exec = Exec.default) ?on_round ?tracer scheme g ~advice =
+  (* Outputs are total only without crashes; fault plans go through the
+     option-valued Full_info.run_adaptive. *)
+  if exec.faults <> [] then
+    invalid_arg "Scheme.run: a fault plan leaves outputs partial";
+  let r =
+    Shades_localsim.Full_info.run_adaptive ~exec ?on_round ?tracer g ~advice
+      ~rounds_of:scheme.rounds_of ~decide:scheme.decide
   in
-  { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice }
+  {
+    outputs = Array.map Option.get r.outputs;
+    rounds = r.rounds;
+    messages = r.messages;
+    makespan = r.makespan;
+    advice_bits = Shades_bits.Bitstring.length advice;
+  }
 
-let run ?on_round ?tracer scheme g =
-  run_with_advice ?on_round ?tracer scheme g ~advice:(scheme.oracle g)
-
-let run_sharded_with_advice ?domains ?on_round ?tracer scheme g ~advice =
-  let outputs, rounds =
-    Shades_localsim.Full_info.run_adaptive_sharded ?domains ?on_round ?tracer
-      g ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
-  in
-  { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice }
-
-let run_sharded ?domains ?on_round ?tracer scheme g =
-  run_sharded_with_advice ?domains ?on_round ?tracer scheme g
-    ~advice:(scheme.oracle g)
-
-let run_async ?seed ?on_round ?tracer scheme g =
-  let advice = scheme.oracle g in
-  let outputs, rounds =
-    Shades_localsim.Full_info.run_adaptive_async ?seed ?on_round ?tracer g
-      ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
-  in
-  { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice }
-
-let run_plan ~delay ?on_round ?tracer scheme g =
-  let advice = scheme.oracle g in
-  let outputs, rounds, makespan =
-    Shades_localsim.Full_info.run_adaptive_plan ~delay ?on_round ?tracer g
-      ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
-  in
-  ( { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice },
-    makespan )
+let run ?exec ?on_round ?tracer scheme g =
+  run_with_advice ?exec ?on_round ?tracer scheme g ~advice:(scheme.oracle g)

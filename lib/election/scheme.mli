@@ -22,17 +22,30 @@ type 'o t = {
 type 'o run = {
   outputs : 'o array;  (** vertex-indexed (oracle-side bookkeeping) *)
   rounds : int;  (** communication rounds used *)
+  messages : int;  (** payload messages sent ({!Shades_localsim.Exec.result}) *)
+  makespan : float;
+      (** virtual completion time ({!Shades_localsim.Exec.result}): the
+          round count for synchronous timings, the delay schedule's
+          completion time under [Async] *)
   advice_bits : int;  (** length of the advice string *)
 }
 
 (** Execute the scheme on [g] through the LOCAL simulator (the node
-    algorithm really exchanges messages; nothing is shortcut).
-    [on_round] is forwarded to the engine: per-round telemetry (round
-    number, cumulative messages) for the sweep runtime.  [tracer]
-    receives every execution event ({!Shades_trace.Event}) in the
-    engine's deterministic order — attach a
-    {!Shades_trace.Trace.recorder} to capture a replayable trace. *)
+    algorithm really exchanges messages; nothing is shortcut) under
+    [exec] (default {!Shades_localsim.Exec.default}).  The timing is an
+    execution choice: [Sharded] is invisible in results and traces,
+    and [Async] keeps outputs and rounds (the paper's remark that the
+    synchronous LOCAL process survives asynchrony via time-stamps) while
+    the makespan and event interleaving follow the delay schedule.
+    [on_round] and [tracer] are forwarded to
+    {!Shades_localsim.Exec.run} — attach a
+    {!Shades_trace.Trace.recorder} to capture a replayable trace.
+    @raise Invalid_argument on a non-empty fault plan: outputs here are
+    total, so crash-stop runs go through
+    {!Shades_localsim.Full_info.run_adaptive} (or
+    {!Shades_adversary.Fault.run}). *)
 val run :
+  ?exec:Shades_localsim.Exec.t ->
   ?on_round:(round:int -> messages:int -> unit) ->
   ?tracer:(Shades_trace.Event.t -> unit) ->
   'o t ->
@@ -41,67 +54,19 @@ val run :
 
 (** [run_with_advice scheme g ~advice] runs the distributed part under a
     forced advice string — the primitive for fooling experiments, where
-    the pigeonhole forces one string to serve two graphs.  [max_rounds]
-    caps the engine's round budget: corruption campaigns set it near the
-    reference round count so corrupted advice demanding an absurd view
-    depth aborts with {!Shades_localsim.Engine.Did_not_terminate}
-    instead of exchanging exponentially growing views. *)
+    the pigeonhole forces one string to serve two graphs, and what the
+    election daemon uses to serve requests against its advice cache.
+    A small [exec.max_rounds] caps the round budget: corruption
+    campaigns set it near the reference round count so corrupted advice
+    demanding an absurd view depth aborts with
+    {!Shades_localsim.Engine.Did_not_terminate} instead of exchanging
+    exponentially growing views.
+    @raise Invalid_argument on a non-empty fault plan, as {!run}. *)
 val run_with_advice :
-  ?max_rounds:int ->
+  ?exec:Shades_localsim.Exec.t ->
   ?on_round:(round:int -> messages:int -> unit) ->
   ?tracer:(Shades_trace.Event.t -> unit) ->
   'o t ->
   Shades_graph.Port_graph.t ->
   advice:Shades_bits.Bitstring.t ->
   'o run
-
-(** Like {!run}, executed on the vertex-sharded parallel engine
-    ({!Shades_localsim.Sharded_engine}) with [domains] worker domains.
-    Outputs, round count, telemetry, and the trace stream are identical
-    to {!run} for every domain count — sharding is an execution
-    strategy, invisible in results and traces. *)
-val run_sharded :
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  'o t ->
-  Shades_graph.Port_graph.t ->
-  'o run
-
-(** {!run_sharded} under a forced advice string — the sharded analogue
-    of {!run_with_advice}, and what the election daemon uses to serve
-    sharded requests against its advice cache. *)
-val run_sharded_with_advice :
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  'o t ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  'o run
-
-(** Asynchronous execution (seeded adversarial delays, α-synchronizer):
-    same outputs and round count as {!run} — the paper's remark that the
-    synchronous LOCAL process survives asynchrony via time-stamps.
-    Traced events additionally include [Sync_marker]s; see
-    {!Shades_localsim.Async_engine.run}. *)
-val run_async :
-  ?seed:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  'o t ->
-  Shades_graph.Port_graph.t ->
-  'o run
-
-(** Asynchronous execution under an {e explicit} delay plan
-    ({!Shades_localsim.Async_engine.run_plan}); additionally returns the
-    makespan — the virtual completion time the adversary's assignment
-    achieved.  Outputs and rounds are plan-invariant; the makespan is
-    what {!Shades_adversary.Schedule} maximizes. *)
-val run_plan :
-  delay:(round:int -> v:int -> port:int -> float) ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  'o t ->
-  Shades_graph.Port_graph.t ->
-  'o run * float

@@ -260,7 +260,7 @@ let decode_table advice =
   { k; table }
 
 (* Domain-local single-slot cache: concurrent sweeps
-   (Shades_runtime.Pool) must not race or thrash each other's slot. *)
+   (Shades_pool) must not race or thrash each other's slot. *)
 let plan_cache = Domain.DLS.new_key (fun () -> None)
 
 let plan_of advice =

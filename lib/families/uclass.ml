@@ -212,7 +212,7 @@ let compute_plan advice =
 
 (* The same advice value is passed to every node, so a single-slot cache
    keyed by physical equality makes the n identical map analyses cost
-   one.  Domain-local so concurrent sweeps (Shades_runtime.Pool) never
+   one.  Domain-local so concurrent sweeps (Shades_pool) never
    race or thrash each other's slot. *)
 let plan_cache = Domain.DLS.new_key (fun () -> None)
 

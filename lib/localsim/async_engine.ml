@@ -1,4 +1,5 @@
 module Port_graph = Shades_graph.Port_graph
+module Csr = Port_graph.Csr
 module Event = Shades_trace.Event
 
 (* A wire message: the sender's round plus the payload the algorithm
@@ -7,13 +8,13 @@ module Event = Shades_trace.Event
    payload carries the receiver's port so delivery needs no lookup. *)
 type 'msg wire = { round : int; payload : (int * 'msg) option }
 
-let run_internal ?max_rounds ~delay ?on_round ?tracer
-    ?(msg_size = fun _ -> 0) g ~advice alg =
-  let n = Port_graph.order g in
-  let max_rounds =
-    match max_rounds with Some m -> m | None -> (4 * n) + 16
+let run ~delay ~max_rounds ~on_round ~emit ~tracing ~msg_size ~crash_at g
+    ~advice (alg : (_, _, _) Engine.algorithm) =
+  let { Kernel.csr; states; outputs; undecided; _ } =
+    Kernel.prologue ~emit ~tracing ~crash_at g ~advice alg
   in
-  let emit = match tracer with Some f -> f | None -> fun _ -> () in
+  let n = Array.length states in
+  let undecided = ref undecided in
   (* Delivery queue ordered by (time, sequence); the sequence number
      makes simultaneous deliveries deterministic. *)
   let module M = Map.Make (struct
@@ -32,92 +33,71 @@ let run_internal ?max_rounds ~delay ?on_round ?tracer
     queue := M.add (!clock +. d, !seq) (dest, wire_msg) !queue
   in
   let messages = ref 0 in
-  let states =
-    Array.init n (fun v ->
-        alg.Engine.init ~degree:(Port_graph.degree g v) ~advice)
-  in
-  let outputs = Array.map alg.Engine.output states in
-  (match tracer with
-  | None -> ()
-  | Some _ ->
-      let bits = Shades_bits.Bitstring.length advice in
-      for v = 0 to n - 1 do
-        emit (Event.Advice_read { v; bits })
-      done;
-      for v = 0 to n - 1 do
-        if Option.is_some outputs.(v) then begin
-          emit (Event.Decide { v; round = 0 });
-          emit (Event.Halt { v; round = 0 })
-        end
-      done);
   let rounds = Array.make n 0 in
-  let decided_round =
-    Array.map (fun o -> if Option.is_some o then Some 0 else None) outputs
-  in
+  (* The synchronous round count is the latest first-decision round. *)
+  let last_decision = ref 0 in
   (* inboxes.(v) buffers received wires per pending round. *)
   let inboxes : (int, 'a wire list) Hashtbl.t array =
     Array.init n (fun _ -> Hashtbl.create 4)
   in
   (* A decided node has halted: it emits only the bare end-of-round
      markers its neighbours' synchronizers are waiting for — never a
-     payload — mirroring the synchronous engine's short-circuit.
+     payload — mirroring the synchronous kernel's short-circuit.
      Markers are traced as [Sync_marker], never [Send]: they are
      synchronizer scaffolding with no synchronous counterpart. *)
   let send_round v =
     let halted = Option.is_some outputs.(v) in
-    for p = 0 to Port_graph.degree g v - 1 do
-      let u, q = Port_graph.neighbor g v p in
+    for p = 0 to Csr.degree csr v - 1 do
       let round = rounds.(v) + 1 in
       let payload =
         if halted then None
         else
-          match alg.Engine.send states.(v) ~port:p with
+          match alg.send states.(v) ~port:p with
           | Some m ->
               incr messages;
-              emit (Event.Send { round; v; port = p; size = msg_size m });
-              Some (q, m)
+              if tracing then
+                emit (Event.Send { round; v; port = p; size = msg_size m });
+              Some (Csr.neighbor_port csr v p, m)
           | None -> None
       in
       if payload = None then emit (Event.Sync_marker { round; v; port = p });
-      push_event ~round ~v ~port:p u { round; payload }
+      push_event ~round ~v ~port:p (Csr.neighbor_vertex csr v p)
+        { round; payload }
     done
   in
   (* Telemetry: a synchronizer round counts as executed the first time
      an {e undecided} node steps it — exactly the rounds the synchronous
-     engine executes.  Decided nodes keep completing marker-only rounds
+     kernel executes.  Decided nodes keep completing marker-only rounds
      to feed their neighbours' synchronizers; those never fire the hook
-     (and never emit [Round_start]), so the reported rounds are 1..R
-     with R the synchronous round count, each reported once, in
-     increasing order, with monotone cumulative message counts. *)
+     (and never emit [Round_start]). *)
   let reported = ref 0 in
   let stepped_round r =
     if r > !reported then begin
       reported := r;
       emit (Event.Round_start { round = r });
-      match on_round with
-      | Some f -> f ~round:r ~messages:!messages
-      | None -> ()
+      on_round ~round:r ~messages:!messages
     end
   in
-  let all_decided () = Array.for_all Option.is_some outputs in
-  if not (all_decided ()) then
+  if !undecided > 0 then
     for v = 0 to n - 1 do
       send_round v
     done;
-  let stop = ref (all_decided ()) in
-  while (not !stop) && not (M.is_empty !queue) do
+  while !undecided > 0 && not (M.is_empty !queue) do
     let ((t, _) as key), (v, wire) = M.min_binding !queue in
     queue := M.remove key !queue;
     clock := t;
     Hashtbl.replace inboxes.(v) wire.round
       (wire
       :: Option.value ~default:[] (Hashtbl.find_opt inboxes.(v) wire.round));
-    (* Advance v while its next round is fully delivered. *)
+    (* Advance v while its next round is fully delivered and within the
+       budget: a node never steps past [max_rounds], so a run that needs
+       more drains its queue and ends undecided. *)
     let progressing = ref true in
     while !progressing do
       let next = rounds.(v) + 1 in
       match Hashtbl.find_opt inboxes.(v) next with
-      | Some wires when List.length wires = Port_graph.degree g v ->
+      | Some wires
+        when next <= max_rounds && List.length wires = Csr.degree csr v ->
           Hashtbl.remove inboxes.(v) next;
           if Option.is_none outputs.(v) then begin
             stepped_round next;
@@ -125,55 +105,29 @@ let run_internal ?max_rounds ~delay ?on_round ?tracer
               List.filter_map (fun w -> w.payload) wires
               |> List.sort (fun (p, _) (q, _) -> Int.compare p q)
             in
-            (match tracer with
-            | None -> ()
-            | Some _ ->
-                List.iter
-                  (fun (p, m) ->
-                    emit
-                      (Event.Deliver
-                         { round = next; v; port = p; size = msg_size m }))
-                  inbox);
-            states.(v) <- alg.Engine.step states.(v) inbox;
-            outputs.(v) <- alg.Engine.output states.(v);
-            if Option.is_some outputs.(v) && decided_round.(v) = None then begin
-              decided_round.(v) <- Some next;
+            if tracing then
+              List.iter
+                (fun (p, m) ->
+                  emit
+                    (Event.Deliver
+                       { round = next; v; port = p; size = msg_size m }))
+                inbox;
+            states.(v) <- alg.step states.(v) inbox;
+            outputs.(v) <- alg.output states.(v);
+            if Option.is_some outputs.(v) then begin
+              decr undecided;
+              last_decision := max !last_decision next;
               emit (Event.Decide { v; round = next });
               emit (Event.Halt { v; round = next })
             end
           end;
           rounds.(v) <- next;
-          if next > max_rounds || all_decided () then begin
-            progressing := false;
-            stop := true
-          end
-          else send_round v
+          if !undecided = 0 then progressing := false else send_round v
       | _ -> progressing := false
     done
   done;
-  if not (all_decided ()) then
+  if !undecided > 0 then
     raise (Engine.Did_not_terminate (Array.fold_left max 0 rounds));
-  ( ({
-      Engine.outputs = Array.map Option.get outputs;
-      (* The synchronous round count is the latest first-decision
-         round. *)
-      rounds =
-        Array.fold_left
-          (fun acc d -> max acc (Option.value ~default:0 d))
-          0 decided_round;
-      messages = !messages;
-    } : _ Engine.result),
-    (* Makespan: the virtual time of the last delivery processed — how
-       long the adversary's delay assignment stretched the execution. *)
-    !clock )
-
-let run ?max_rounds ?(seed = 0) ?on_round ?tracer ?msg_size g ~advice alg =
-  let rng = Random.State.make [| seed; 0x5eed |] in
-  (* The draw happens once per pushed wire, in push order — exactly the
-     pre-plan behaviour, so seeded runs (and their traces) are
-     bit-identical to before the [delay] generalization. *)
-  let delay ~round:_ ~v:_ ~port:_ = 0.01 +. Random.State.float rng 1.0 in
-  fst (run_internal ?max_rounds ~delay ?on_round ?tracer ?msg_size g ~advice alg)
-
-let run_plan ?max_rounds ~delay ?on_round ?tracer ?msg_size g ~advice alg =
-  run_internal ?max_rounds ~delay ?on_round ?tracer ?msg_size g ~advice alg
+  (* Makespan: the virtual time of the last delivery processed — how
+     long the delay assignment stretched the execution. *)
+  (outputs, !last_decision, !messages, !clock)

@@ -1,84 +1,37 @@
-(** Asynchronous execution of LOCAL algorithms via time-stamps.
+(** The α-synchronizer kernel behind [Exec.Async].
 
     The paper notes that "the synchronous process of the LOCAL model can
     be simulated in an asynchronous network using time-stamps"
-    (Section 1).  This module realizes that remark: messages suffer
-    arbitrary (adversarially random, seeded) delays, every node tags its
-    traffic with its round number and additionally emits an explicit
-    end-of-round marker on every port, and a node advances to round
-    [r+1] only after collecting the round-[r] traffic of all its
-    neighbours — the classical α-synchronizer.
+    (Section 1).  This kernel realizes that remark: every wire suffers
+    the virtual-time delay [delay ~round ~v ~port] (non-positive values
+    clamp to a small epsilon), every node tags its traffic with its
+    round number and emits an explicit end-of-round marker on every port
+    it sends nothing on, and a node advances to round [r+1] only after
+    collecting the round-[r] traffic of all its neighbours.  Outputs and
+    round count therefore equal the synchronous kernels' under every
+    delay assignment; only the makespan and the event interleaving
+    depend on it.
 
-    Running any {!Engine.algorithm} through this executor produces
-    exactly the outputs of the synchronous {!Engine.run}; a property
-    test enforces this for every delay schedule tried. *)
+    Decided nodes halt as in the synchronous kernels: they keep emitting
+    the bare markers the synchronizer requires of every port, but never
+    a payload, and their state is frozen.  No node steps past
+    [max_rounds].  [crash_at] must schedule no crash (the kernel
+    implements no fault semantics); it only feeds the shared
+    [Kernel.prologue]. *)
 
-(** [run ?max_rounds ?seed g ~advice alg] executes [alg] asynchronously;
-    message delays are drawn from a PRNG seeded with [seed] (default 0),
-    so runs are reproducible.  The reported [rounds] is the number of
-    synchronizer rounds executed — identical to the synchronous round
-    count.
-
-    [max_rounds] bounds the synchronizer rounds any node executes and
-    defaults to [4 * order g + 16], the same budget as {!Engine.run}.
-
-    Decided nodes halt exactly as in {!Engine.run}: they keep emitting
-    the bare end-of-round markers the α-synchronizer requires of every
-    port, but never a payload, and their state is frozen — so a node
-    decided at round 0 never contributes a message, matching the
-    synchronous short-circuit.
-
-    [on_round] fires the first time each synchronizer round number is
-    {e stepped} by an undecided node (the advancing frontier), with the
-    cumulative message count at that moment.  Decided nodes also keep
-    completing rounds — marker-only, to feed their neighbours'
-    synchronizers — but those never fire the hook, so the reported
-    round numbers are exactly the synchronous engine's 1..R (no
-    overshoot), each reported once, strictly increasing, and the
-    cumulative message counts are monotone.  (The counts at a given
-    round differ from the synchronous engine's: delivery interleaving
-    decides how many sends precede the first step of a round.)
-
-    [tracer] and [msg_size] are as in {!Engine.run}, with one extra
-    event kind: every end-of-round marker — a port where the algorithm
-    sent nothing, or any port of a halted node — is traced as
-    [Sync_marker], never [Send].  Modulo those markers (and event
-    order, which delivery timing permutes), the traced events coincide
-    with the synchronous run's — {!Shades_trace.Diff.normalize} makes
-    the comparison exact, and a same-seed re-execution reproduces the
-    stream verbatim for {!Shades_trace.Replay}.
-    @raise Engine.Did_not_terminate like {!Engine.run}. *)
 val run :
-  ?max_rounds:int ->
-  ?seed:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  ?msg_size:('msg -> int) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  ('state, 'msg, 'output) Engine.algorithm ->
-  'output Engine.result
-
-(** [run_plan ~delay g ~advice alg] is {!run} with an {e explicit} delay
-    assignment instead of a seeded PRNG: each wire pushed on [port] of
-    sender [v] during synchronizer round [round] (payload or
-    end-of-round marker alike) is delayed by [delay ~round ~v ~port]
-    virtual time units (non-positive values clamp to a small epsilon).
-    This is the adversary's interface — {!Shades_adversary.Schedule}
-    searches over such plans.
-
-    Returns the result paired with the {e makespan}: the virtual time of
-    the last delivery processed.  By the α-synchronizer argument the
-    outputs and round count are invariant under the plan; the makespan
-    is what an adversarial assignment can stretch.  [run ~seed] is
-    exactly [run_plan] with the per-push PRNG draw as [delay]. *)
-val run_plan :
-  ?max_rounds:int ->
   delay:(round:int -> v:int -> port:int -> float) ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  ?msg_size:('msg -> int) ->
+  max_rounds:int ->
+  on_round:(round:int -> messages:int -> unit) ->
+  emit:(Shades_trace.Event.t -> unit) ->
+  tracing:bool ->
+  msg_size:('msg -> int) ->
+  crash_at:int array ->
   Shades_graph.Port_graph.t ->
   advice:Shades_bits.Bitstring.t ->
   ('state, 'msg, 'output) Engine.algorithm ->
-  'output Engine.result * float
+  'output option array * int * int * float
+(** Outputs, rounds, messages and makespan (the virtual time of the
+    last delivery processed).
+    @raise Engine.Did_not_terminate with the highest round any node
+    completed when live nodes remain undecided. *)

@@ -32,19 +32,12 @@ let algorithm ctx ~rounds_of ~decide =
 
 let run_adaptive g ~advice ~rounds_of ~decide =
   let ctx = Cview.create_ctx () in
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
+  let r =
+    Exec.run Exec.default g ~advice
+      (algorithm ctx ~rounds_of:(Full_info.common_rounds rounds_of)
+         ~decide:(fun view -> decide ~advice ctx view))
   in
-  let result =
-    Engine.run g ~advice
-      (algorithm ctx ~rounds_of ~decide:(fun view -> decide ~advice ctx view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
+  (Array.map Option.get r.Exec.outputs, r.Exec.rounds)
 
 let run g ~rounds ~advice ~decide =
   if rounds < 0 then invalid_arg "Compact_info.run";

@@ -19,7 +19,8 @@ val run :
   'o array
 
 (** Like {!run} with the round count derived from the advice (asserted
-    equal across nodes); returns decisions and the round count. *)
+    equal across nodes by {!Full_info.common_rounds}); returns decisions
+    and the round count. *)
 val run_adaptive :
   Shades_graph.Port_graph.t ->
   advice:Shades_bits.Bitstring.t ->

@@ -1,4 +1,6 @@
-(** Synchronous message-passing engine for the LOCAL model.
+(** The LOCAL model's vocabulary: node algorithms, crash-stop faults,
+    and the round-budget exception.  Executing an algorithm is
+    {!Exec.run}'s job.
 
     All nodes start simultaneously and proceed in synchronous rounds.  In
     each round every node may send one (arbitrary) message per port; all
@@ -27,14 +29,6 @@ type ('state, 'msg, 'output) algorithm = {
           some or all nodes decide at initialization. *)
 }
 
-type 'output result = {
-  outputs : 'output array;  (** indexed by vertex (oracle-side view) *)
-  rounds : int;  (** rounds executed until every node had decided *)
-  messages : int;
-      (** total messages sent (one per port per round where [send]
-          returned [Some]) — the classical message-complexity measure *)
-}
-
 type crash = { victim : int; at_round : int }
 (** One crash-stop fault: [victim] halts at the start of round
     [at_round] — from that round on it sends nothing, its [step] is
@@ -45,84 +39,12 @@ type crash = { victim : int; at_round : int }
     equivalent, for every other node, to deleting the victim's outgoing
     messages entirely. *)
 
-type 'output faulty = {
-  outputs : 'output option array;
-      (** per-vertex decisions; [None] for crashed (or undecided at the
-          bound — impossible on normal return) nodes *)
-  rounds : int;  (** rounds executed until every live node had decided *)
-  messages : int;
-}
-(** Result of a faulty run: crashed nodes have no output, so the array
-    is option-valued — the fault-free {!result} stays total. *)
-
 exception Did_not_terminate of int
-(** Raised by {!run} when some node — some {e live} node, under a fault
-    plan — is still undecided after the round bound. *)
+(** Raised by {!Exec.run} when some {e live} node is still undecided
+    once the round budget is spent; carries the rounds executed. *)
 
 val crash_schedule : n:int -> crash list -> int array
 (** The normalized per-vertex crash round ([max_int] = never): duplicate
     victims collapse to their earliest crash, negative rounds clamp
-    to 0.  Exposed for engine implementations and tests; {!run_with_faults}
-    applies it internally.
+    to 0.  {!Exec.run} applies it to the config's fault plan.
     @raise Invalid_argument on a victim outside [0 .. n-1]. *)
-
-(** [run g ~advice alg] executes [alg] at every node of [g] with the
-    same [advice].  Terminates at the first round where all nodes have
-    an output.  [max_rounds] bounds the number of rounds executed and
-    defaults to [4 * order g + 16] — linear in the order with slack, a
-    budget no minimum-time scheme in this repository approaches.
-
-    [on_round] is a telemetry hook: it is invoked once per executed
-    round, after delivery, with the (1-based) round number and the
-    cumulative message count — the feed for [Shades_runtime.Metrics]
-    counters without touching the result type.
-
-    [tracer] receives one {!Shades_trace.Event.t} per observable action,
-    in a deterministic order: per node [Advice_read] (then [Decide] +
-    [Halt] for round-0 deciders), then per round [Round_start], every
-    [Send] (vertex- then port-ascending), and per undecided node its
-    [Deliver]s in arrival-port order followed by [Decide]/[Halt] when
-    its output appears.  Re-running the same algorithm on the same
-    graph and advice reproduces the stream exactly — the contract
-    {!Shades_trace.Replay} checks.  [msg_size] measures messages for
-    the [Send]/[Deliver] events' [size] field (default [fun _ -> 0];
-    it must be a pure function of the message for traces to replay). *)
-val run :
-  ?max_rounds:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  ?msg_size:('msg -> int) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  ('state, 'msg, 'output) algorithm ->
-  'output result
-
-(** [run_with_faults g ~advice ~faults alg] is {!run} under a
-    crash-stop fault plan.  Semantics per {!crash}: at the start of
-    round [at_round] the victim goes permanently silent.  Termination:
-    the run ends at the first round where every {e live} node has
-    decided (crashed nodes can never decide and do not block
-    termination); {!Did_not_terminate} is raised only when live nodes
-    remain undecided at [max_rounds].
-
-    Tracing: each effective crash is recorded as [Event.Crash] — for
-    [at_round >= 1], directly after that round's [Round_start] (before
-    any [Send]), victims in vertex order; for [at_round <= 0], after
-    the [Advice_read] block and before any round-0 [Decide].  A crash
-    scheduled for a node that already decided (halted) earlier is a
-    no-op and is not recorded.  With [faults = []] the event stream,
-    outputs, rounds and messages are exactly {!run}'s.
-
-    {!Sharded_engine.run_with_faults} produces a byte-identical event
-    stream for the same plan at every domain count — the determinism
-    contract extends to faulty runs unchanged. *)
-val run_with_faults :
-  ?max_rounds:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  ?msg_size:('msg -> int) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  faults:crash list ->
-  ('state, 'msg, 'output) algorithm ->
-  'output faulty

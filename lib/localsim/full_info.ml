@@ -44,91 +44,28 @@ let algorithm ~rounds_of ~decide =
    carried view — a pure function of the message, as replay requires. *)
 let msg_size m = View_tree.node_count m.view
 
-let run_adaptive ?max_rounds ?on_round ?tracer g ~advice ~rounds_of ~decide =
+(* Safe under every timing: [rounds_of] is only called from [init],
+   which every kernel runs sequentially in the calling domain. *)
+let common_rounds rounds_of =
   let decided = ref None in
-  let rounds_of ~advice ~degree =
+  fun ~advice ~degree ->
     let r = rounds_of ~advice ~degree in
     (match !decided with
     | None -> decided := Some r
     | Some r' -> assert (r = r'));
     r
-  in
-  let result =
-    Engine.run ?max_rounds ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
 
-let run_adaptive_sharded ?domains ?on_round ?tracer g ~advice ~rounds_of
+let run_adaptive ?(exec = Exec.default) ?on_round ?tracer g ~advice ~rounds_of
     ~decide =
-  let decided = ref None in
-  (* Safe under sharding: [rounds_of] is only called from [init], which
-     Sharded_engine runs sequentially in the calling domain. *)
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result =
-    Sharded_engine.run ?domains ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
-
-let run_adaptive_async ?seed ?on_round ?tracer g ~advice ~rounds_of ~decide =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result =
-    Async_engine.run ?seed ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
-
-let run_adaptive_plan ~delay ?on_round ?tracer g ~advice ~rounds_of ~decide =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result, makespan =
-    Async_engine.run_plan ~delay ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds, makespan)
-
-let run_adaptive_with_faults ?max_rounds ?on_round ?tracer g ~advice
-    ~rounds_of ~decide ~faults =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result =
-    Engine.run_with_faults ?max_rounds ?on_round ?tracer ~msg_size g ~advice
-      ~faults
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
+  Exec.run ?on_round ?tracer ~msg_size exec g ~advice
+    (algorithm ~rounds_of:(common_rounds rounds_of)
+       ~decide:(fun view -> decide ~advice view))
 
 let run g ~rounds ~advice ~decide =
   if rounds < 0 then invalid_arg "Full_info.run";
-  let outputs, used =
+  let r =
     run_adaptive g ~advice ~rounds_of:(fun ~advice:_ ~degree:_ -> rounds)
       ~decide
   in
-  assert (used = rounds);
-  outputs
+  assert (r.Exec.rounds = rounds);
+  Array.map Option.get r.Exec.outputs

@@ -1,4 +1,4 @@
-(** The full-information protocol on top of {!Engine}.
+(** The full-information protocol on top of {!Exec}.
 
     In the LOCAL model with unbounded messages, the optimal strategy is
     for every node to forward everything it knows each round; after [r]
@@ -23,85 +23,39 @@ val run :
 (** Like {!run} but the number of rounds is computed per-node from the
     advice and the node's degree before communication starts (all paper
     algorithms derive a common round count from the advice, so the
-    values coincide across nodes; this is asserted). Returns decisions
-    and the common round count.  [on_round] and [tracer] are forwarded
-    to {!Engine.run} — per-round telemetry and event tracing for the
-    sweep runtime; traced message sizes are view-tree node counts.
-    [max_rounds] is forwarded to {!Engine.run} — corruption campaigns
-    cap it near the reference round count so a corrupted advice string
-    demanding an absurd view depth aborts cheaply with
-    {!Engine.Did_not_terminate} instead of exchanging exponentially
-    growing views. *)
-val run_adaptive :
-  ?max_rounds:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int
+    values coincide across nodes; {!common_rounds} asserts it), and the
+    protocol runs under [exec] (default {!Exec.default}) — any timing,
+    fault plan and round budget, with {!Exec.run}'s contracts.
+    [on_round] and [tracer] are forwarded to {!Exec.run}; traced
+    message sizes are view-tree node counts.
 
-(** {!run_adaptive} under a crash-stop fault plan
-    ({!Engine.run_with_faults}); crashed nodes have [None] outputs.
-    Honest caveat: the view-exchange protocol {e assumes} a message on
+    Under sharding, [decide] runs on worker domains and must tolerate
+    concurrent calls on distinct views (all decision procedures in this
+    repository only read immutable oracle-built tables).  Under a fault
+    plan the protocol's honest limit shows: it {e assumes} a message on
     every port each round (the paper's algorithms are not
     fault-tolerant), so a live neighbour of a crashed node raises
     [Assert_failure] at its first post-crash step — callers classify
-    that abort rather than hide it ({!Shades_adversary.Fault}). *)
-val run_adaptive_with_faults :
-  ?max_rounds:int ->
+    that abort rather than hide it ([Shades_adversary.Fault]).  A
+    small [max_rounds] makes corrupted advice demanding an absurd view
+    depth abort cheaply with {!Engine.Did_not_terminate} instead of
+    exchanging exponentially growing views. *)
+val run_adaptive :
+  ?exec:Exec.t ->
   ?on_round:(round:int -> messages:int -> unit) ->
   ?tracer:(Shades_trace.Event.t -> unit) ->
   Shades_graph.Port_graph.t ->
   advice:Shades_bits.Bitstring.t ->
   rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
   decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  faults:Engine.crash list ->
-  'o option array * int
+  'o Exec.result
 
-(** Like {!run_adaptive} but executed through {!Sharded_engine}:
-    vertices are partitioned across [domains] worker domains (default
-    {!Sharded_engine.default_domains}).  Outputs, round count, per-round
-    telemetry, and the trace stream are identical to {!run_adaptive} for
-    every domain count — sharding is an execution strategy, not a model
-    change.  [decide] runs on worker domains and must tolerate
-    concurrent calls on distinct views (all decision procedures in this
-    repository only read immutable oracle-built tables). *)
-val run_adaptive_sharded :
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
+(** [common_rounds rounds_of] is [rounds_of] guarded for one run: every
+    call must return the value of the first (asserted) — the
+    rounds-agreement guard of {!run_adaptive} and
+    {!Compact_info.run_adaptive}.  Use a fresh guard per run. *)
+val common_rounds :
+  (advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
   advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int
-
-(** Like {!run_adaptive} but executed through {!Async_engine}: messages
-    suffer (seeded) adversarial delays and the α-synchronizer recovers
-    round structure from time-stamps.  Outputs and the reported round
-    count coincide with the synchronous run. *)
-val run_adaptive_async :
-  ?seed:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int
-
-(** Like {!run_adaptive_async} but with an explicit delay plan
-    ({!Async_engine.run_plan}); additionally returns the makespan —
-    the quantity {!Shades_adversary.Schedule} searches over.  Outputs
-    and round count remain plan-invariant. *)
-val run_adaptive_plan :
-  delay:(round:int -> v:int -> port:int -> float) ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int * float
+  degree:int ->
+  int

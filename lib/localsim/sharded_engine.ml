@@ -2,8 +2,6 @@ module Port_graph = Shades_graph.Port_graph
 module Event = Shades_trace.Event
 module Crew = Shades_pool.Crew
 
-let default_domains () = Shades_pool.default_domains ()
-
 (* One growable event buffer per shard, drained by the coordinator.
    Events are consed (reverse order) and flushed with a reversing
    iteration, so a flush replays them in emission order. *)
@@ -11,26 +9,18 @@ let flush_buffer emit buf =
   List.iter emit (List.rev !buf);
   buf := []
 
-(* Shared implementation; [crash_at] is the normalized per-vertex crash
-   round ([max_int] = never, {!Engine.crash_schedule}).  It is written
-   before the crew exists and only read afterwards — worker domains see
-   a frozen schedule. *)
-let run_internal ?max_rounds ?domains ?on_round ?tracer
-    ?(msg_size = fun _ -> 0) ~crash_at g ~advice
-    (alg : (_, _, _) Engine.algorithm) =
-  let n = Port_graph.order g in
-  let csr = Port_graph.Csr.of_graph g in
-  let max_rounds =
-    match max_rounds with Some m -> m | None -> (4 * n) + 16
+(* [crash_at] is written before the crew exists and only read
+   afterwards — worker domains see a frozen schedule. *)
+let run ~domains ~max_rounds ~on_round ~emit ~tracing ~msg_size ~crash_at g
+    ~advice (alg : (_, _, _) Engine.algorithm) =
+  let { Kernel.csr; states; outputs; undecided; faulty } =
+    Kernel.prologue ~emit ~tracing ~crash_at g ~advice alg
   in
-  let has_faults = Array.exists (fun r -> r < max_int) crash_at in
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  let shards = min domains n in
+  let n = Array.length states in
+  let shards = min (max 1 domains) n in
   (* Contiguous balanced ranges: shard [s] owns [start.(s) ..
      start.(s+1) - 1].  Contiguity is what makes shard-major event
-     flushing reproduce the sequential engine's vertex-ascending event
+     flushing reproduce the sequential kernel's vertex-ascending event
      order exactly. *)
   let start = Array.init (shards + 1) (fun s -> s * n / shards) in
   let owner = Array.make n 0 in
@@ -39,43 +29,7 @@ let run_internal ?max_rounds ?domains ?on_round ?tracer
       owner.(v) <- s
     done
   done;
-  let emit = match tracer with Some f -> f | None -> fun _ -> () in
-  let advice_bits = Shades_bits.Bitstring.length advice in
-  (* Init runs in the coordinator domain, exactly as the sequential
-     engine: [init] (and the round-0 [output] probes) may close over
-     state that is not domain-safe, e.g. Full_info's common-round-count
-     assertion. *)
-  let states =
-    Array.init n (fun v -> alg.init ~degree:(Port_graph.Csr.degree csr v) ~advice)
-  in
-  let outputs = Array.map alg.output states in
-  (* A node crashed at round 0 never acted: its init-time decision, if
-     any, is void — same rule as the sequential engine. *)
-  if has_faults then
-    for v = 0 to n - 1 do
-      if crash_at.(v) = 0 then outputs.(v) <- None
-    done;
-  (match tracer with
-  | None -> ()
-  | Some _ ->
-      for v = 0 to n - 1 do
-        emit (Event.Advice_read { v; bits = advice_bits })
-      done;
-      for v = 0 to n - 1 do
-        if crash_at.(v) = 0 then emit (Event.Crash { v; round = 0 })
-      done;
-      for v = 0 to n - 1 do
-        if Option.is_some outputs.(v) then begin
-          emit (Event.Decide { v; round = 0 });
-          emit (Event.Halt { v; round = 0 })
-        end
-      done);
-  (* Live undecided nodes only: crashed nodes never decide and must not
-     keep the round loop running. *)
-  let undecided = ref 0 in
-  for v = 0 to n - 1 do
-    if Option.is_none outputs.(v) && crash_at.(v) > 0 then incr undecided
-  done;
+  let undecided = ref undecided in
   let rounds = ref 0 in
   let messages = ref 0 in
   if !undecided > 0 && max_rounds > 0 then begin
@@ -92,7 +46,6 @@ let run_internal ?max_rounds ?domains ?on_round ?tracer
     let events = Array.init shards (fun _ -> ref []) in
     let sent = Array.make shards 0 in
     let decided = Array.make shards 0 in
-    let tracing = Option.is_some tracer in
     let send_phase ~round s () =
       let buf = events.(s) in
       let count = ref 0 in
@@ -159,16 +112,11 @@ let run_internal ?max_rounds ?domains ?on_round ?tracer
           incr rounds;
           let round = !rounds in
           emit (Event.Round_start { round });
-          (* Crashes taking effect this round, applied by the
-             coordinator before the send barrier: same event position
-             and vertex order as the sequential engine. *)
-          if has_faults then
-            for v = 0 to n - 1 do
-              if crash_at.(v) = round && Option.is_none outputs.(v) then begin
-                emit (Event.Crash { v; round });
-                decr undecided
-              end
-            done;
+          (* applied by the coordinator before the send barrier: same
+             event position and vertex order as the sequential kernel *)
+          if faulty then
+            undecided :=
+              !undecided - Kernel.crash_round ~emit ~crash_at outputs round;
           Crew.run_all crew
             (Array.init shards (fun s -> send_phase ~round s));
           for s = 0 to shards - 1 do
@@ -181,28 +129,8 @@ let run_internal ?max_rounds ?domains ?on_round ?tracer
             undecided := !undecided - decided.(s);
             if tracing then flush_buffer emit events.(s)
           done;
-          match on_round with
-          | Some f -> f ~round ~messages:!messages
-          | None -> ()
+          on_round ~round ~messages:!messages
         done)
   end;
   if !undecided > 0 then raise (Engine.Did_not_terminate !rounds);
   (outputs, !rounds, !messages)
-
-let run ?max_rounds ?domains ?on_round ?tracer ?msg_size g ~advice alg =
-  let crash_at = Array.make (Port_graph.order g) max_int in
-  let outputs, rounds, messages =
-    run_internal ?max_rounds ?domains ?on_round ?tracer ?msg_size ~crash_at g
-      ~advice alg
-  in
-  ({ Engine.outputs = Array.map Option.get outputs; rounds; messages }
-    : _ Engine.result)
-
-let run_with_faults ?max_rounds ?domains ?on_round ?tracer ?msg_size g ~advice
-    ~faults alg =
-  let crash_at = Engine.crash_schedule ~n:(Port_graph.order g) faults in
-  let outputs, rounds, messages =
-    run_internal ?max_rounds ?domains ?on_round ?tracer ?msg_size ~crash_at g
-      ~advice alg
-  in
-  ({ Engine.outputs; rounds; messages } : _ Engine.faulty)

@@ -1,66 +1,36 @@
-(** Vertex-sharded parallel engine for the LOCAL model.
+(** The vertex-sharded kernel behind [Exec.Sharded].
 
-    Executes the same synchronous semantics as {!Engine.run}, but
-    partitions the vertices into contiguous shards assigned to a fixed
-    crew of domains ({!Shades_pool.Crew}).  Each round is a fork-join
+    Partitions the vertices into contiguous shards assigned to a fixed
+    crew of domains ([Shades_pool.Crew]).  Each round is a fork-join
     pipeline: every shard computes its nodes' sends into per-destination
     outboxes, a barrier, every shard drains the outboxes addressed to it
     and steps its nodes, a barrier.  Because message delivery in the
     LOCAL model is synchronous anyway — all round-[r] messages arrive
     before any round-[r+1] computation — the sharded execution is
-    {e exact}, not approximate: outputs, round count, and message count
-    are identical to the sequential engine for every algorithm, graph,
-    advice string, and domain count.
+    {e exact}: outputs, round count, message count and the event stream
+    equal [Kernel.sequential]'s for every algorithm, graph, advice,
+    fault plan and domain count.  Each shard buffers its events and the
+    coordinator flushes the buffers in shard order after each phase,
+    which — shards being contiguous ascending vertex ranges — reproduces
+    the sequential vertex-ascending order.
 
-    The [tracer] stream is also byte-identical: each shard buffers its
-    events and the coordinator flushes the buffers in shard order after
-    each phase, which — shards being contiguous ascending vertex ranges
-    — reproduces the sequential engine's canonical vertex-ascending
-    order exactly.  Trace baselines blessed against {!Engine.run}
-    therefore gate sharded runs unchanged.
+    [send]/[step]/[output] during rounds run on worker domains and must
+    be safe for {e disjoint-vertex} parallelism; [on_round] and [emit]
+    are invoked only from the calling domain, between barriers. *)
 
-    [init] (and the round-0 [output] probes) run sequentially in the
-    calling domain, so algorithm constructors may close over non-
-    domain-safe setup state; [send]/[step]/[output] during rounds run on
-    worker domains and must be safe for {e disjoint-vertex} parallelism
-    (pure functions of the node's own state, plus reads of shared
-    immutable data — true of every algorithm in this repository). *)
-
-(** Default domain count, [Shades_pool.default_domains ()]. *)
-val default_domains : unit -> int
-
-(** [run ?domains g ~advice alg] — same contract, arguments, result,
-    and {!Engine.Did_not_terminate} behaviour as {!Engine.run}, executed
-    on [min domains (order g)] worker domains ([domains] defaults to
-    {!default_domains}; [1] is a valid choice and still exercises the
-    sharded code path).  [on_round] and [tracer] are invoked only from
-    the calling domain, between barriers. *)
 val run :
-  ?max_rounds:int ->
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  ?msg_size:('msg -> int) ->
+  domains:int ->
+  max_rounds:int ->
+  on_round:(round:int -> messages:int -> unit) ->
+  emit:(Shades_trace.Event.t -> unit) ->
+  tracing:bool ->
+  msg_size:('msg -> int) ->
+  crash_at:int array ->
   Shades_graph.Port_graph.t ->
   advice:Shades_bits.Bitstring.t ->
   ('state, 'msg, 'output) Engine.algorithm ->
-  'output Engine.result
-
-(** [run_with_faults ?domains g ~advice ~faults alg] — same crash-stop
-    semantics, tracing positions, and termination rule as
-    {!Engine.run_with_faults}, executed sharded.  Crash events are
-    emitted by the coordinator (directly after [Round_start], before
-    the send barrier; round-0 crashes in the init block), so the event
-    stream is byte-identical to the sequential engine's at every domain
-    count — the exactness contract extends to faulty runs unchanged. *)
-val run_with_faults :
-  ?max_rounds:int ->
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  ?msg_size:('msg -> int) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  faults:Engine.crash list ->
-  ('state, 'msg, 'output) Engine.algorithm ->
-  'output Engine.faulty
+  'output option array * int * int
+(** Outputs, rounds, messages on [min domains (order g)] worker domains
+    ([domains] clamped to at least 1, which still exercises the sharded
+    path).
+    @raise Engine.Did_not_terminate as [Kernel.sequential]. *)

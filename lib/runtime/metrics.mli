@@ -1,7 +1,7 @@
 (** Telemetry registry: named counters, gauges, histograms and timers.
 
     A registry is a mutex-guarded bag of named instruments, safe to
-    share across {!Pool} domains (the sweep engine instead gives every
+    share across {!Shades_pool} domains (the sweep engine instead gives every
     job its own registry so snapshots stay per-point and deterministic).
     Snapshots are name-sorted, so two registries fed the same
     observations in any order render identically — the property the

@@ -7,6 +7,7 @@ module Uclass = Shades_families.Uclass
 module Jclass = Shades_families.Jclass
 module Component = Shades_families.Component
 module Trace = Shades_trace.Trace
+module Exec = Shades_localsim.Exec
 
 type point = (string * int) list
 
@@ -54,19 +55,25 @@ let ipow base exp =
   let rec go acc e = if e = 0 then acc else go (acc * base) (e - 1) in
   if exp < 0 then invalid_arg "Sweep.ipow" else go 1 exp
 
-(* Run [scheme] on [g] through the simulator, collecting the engine's
-   per-round telemetry into [metrics].  The [round_messages] histogram
-   (messages sent per engine round) is always recorded, tracer or not,
-   so traced and untraced runs of the same job produce byte-identical
-   store records. *)
-let elect_with ?tracer metrics ~run ~verify g =
+(* Run [scheme] on [g] through the simulator under [exec], collecting
+   the engine's per-round telemetry into [metrics].  The
+   [round_messages] histogram (messages sent per engine round) is always
+   recorded, tracer or not, so traced and untraced runs of the same job
+   produce byte-identical store records.  The [messages] outcome is the
+   cumulative count at the last [on_round] call — the run total for the
+   synchronous timings, the count at the last round start under the
+   α-synchronizer. *)
+let elect ~exec ?tracer metrics scheme verify g =
   let messages = ref 0 in
   let on_round ~round:_ ~messages:m =
     Metrics.observe metrics "round_messages" (float_of_int (m - !messages));
     messages := m;
     Metrics.incr metrics "engine_rounds"
   in
-  let r = Metrics.time metrics "elect" (fun () -> run ~on_round ~tracer g) in
+  let r =
+    Metrics.time metrics "elect" (fun () ->
+        Scheme.run ~exec ~on_round ?tracer scheme g)
+  in
   let verified =
     Metrics.time metrics "verify" (fun () ->
         Result.is_ok (verify g r.Scheme.outputs))
@@ -78,31 +85,6 @@ let elect_with ?tracer metrics ~run ~verify g =
     graph_order = Port_graph.order g;
     verified;
   }
-
-(* How the synchronous engine executes a job: sequentially, or vertex-
-   sharded across worker domains.  A strategy is invisible in results,
-   metrics and traces — it never appears in job params, labels or trace
-   metadata, so blessed baselines gate every strategy unchanged. *)
-type strategy = Sequential | Sharded of { domains : int option }
-
-let strategy_run strategy scheme ~on_round ?tracer g =
-  match strategy with
-  | Sequential -> Scheme.run ~on_round ?tracer scheme g
-  | Sharded { domains } ->
-      Scheme.run_sharded ?domains ~on_round ?tracer scheme g
-
-let elect ?(strategy = Sequential) ?tracer metrics scheme verify g =
-  elect_with ?tracer metrics ~verify g ~run:(fun ~on_round ~tracer g ->
-      strategy_run strategy scheme ~on_round ?tracer g)
-
-(* The α-synchronizer variant: identical telemetry discipline, delays
-   drawn from the engine's own PRNG seeded with [seed] — so the run
-   (and its trace) is a pure function of (graph, scheme, seed).  The
-   [messages] telemetry is the count at the last round start, as for
-   the synchronous engine. *)
-let elect_async ?tracer ~seed metrics scheme verify g =
-  elect_with ?tracer metrics ~verify g ~run:(fun ~on_round ~tracer g ->
-      Scheme.run_async ~seed ~on_round ?tracer scheme g)
 
 (* Projected node counts, used only to order jobs largest-first (the
    classic longest-processing-time heuristic): they must be cheap and
@@ -122,7 +104,7 @@ let uclass_cost ~delta ~k ~y =
 let jclass_order ~mu ~k ~z_eff =
   ipow 2 z_eff * ((4 * (Component.size ~mu ~k - 1)) + 1)
 
-let gclass_job ?strategy point =
+let gclass_job ?(exec = Exec.default) point =
   match (value point "delta", value point "k") with
   | Some delta, Some k when delta >= 3 && k >= 1 ->
       let point = with_default point "i" 2 in
@@ -144,12 +126,12 @@ let gclass_job ?strategy point =
             exec =
               (fun ~tracer metrics ->
                 let t = Metrics.time metrics "build" (fun () -> Gclass.build p ~i) in
-                elect ?strategy ?tracer metrics Select_by_view.scheme
+                elect ~exec ?tracer metrics Select_by_view.scheme
                   Verify.selection t.Gclass.graph);
           }
   | _ -> None
 
-let uclass_job ?strategy point =
+let uclass_job ?(exec = Exec.default) point =
   match (value point "delta", value point "k") with
   | Some delta, Some k when delta >= 4 && k >= 1 ->
       let point = with_default point "sigma" 1 in
@@ -178,7 +160,7 @@ let uclass_job ?strategy point =
                     Metrics.time metrics "build" (fun () ->
                         Uclass.build p ~sigma:(Uclass.uniform_sigma p sigma))
                   in
-                  elect ?strategy ?tracer metrics Uclass.pe_scheme
+                  elect ~exec ?tracer metrics Uclass.pe_scheme
                     Verify.port_election t.Uclass.graph);
             })
           trees
@@ -186,7 +168,8 @@ let uclass_job ?strategy point =
 
 let default_max_order = 20_000
 
-let jclass_job ?strategy ?(max_order = default_max_order) ~metrics point =
+let jclass_job ?(exec = Exec.default) ?(max_order = default_max_order) ~metrics
+    point =
   match (value point "mu", value point "k") with
   | Some mu, Some k when mu >= 3 && k >= 4 ->
       let point = with_default point "z_eff" 1 in
@@ -215,7 +198,7 @@ let jclass_job ?strategy ?(max_order = default_max_order) ~metrics point =
                     Metrics.time metrics "build" (fun () ->
                         Jclass.build p ~y:(Jclass.y_zero p))
                   in
-                  elect ?strategy ?tracer metrics (Jclass.cppe_scheme t)
+                  elect ~exec ?tracer metrics (Jclass.cppe_scheme t)
                     Verify.complete_port_path_election t.Jclass.graph);
             }
       end
@@ -236,29 +219,28 @@ let gclass_async_job point =
       and k = Option.get (value point "k")
       and i = Option.get (value point "i") in
       let p = { Gclass.delta; k } in
+      let engine = Trace.Async { seed } in
       Some
         {
           job with
           family = "g-async";
           params = point;
-          engine = Trace.Async { seed };
+          engine;
           exec =
             (fun ~tracer metrics ->
               let t = Metrics.time metrics "build" (fun () -> Gclass.build p ~i) in
-              elect_async ?tracer ~seed metrics Select_by_view.scheme
-                Verify.selection t.Gclass.graph);
+              elect ~exec:(Exec.of_trace_engine engine) ?tracer metrics
+                Select_by_view.scheme Verify.selection t.Gclass.graph);
         }
 
-let gclass_jobs ?strategy points =
-  List.filter_map (gclass_job ?strategy) points
+let gclass_jobs ?exec points = List.filter_map (gclass_job ?exec) points
 
 let gclass_async_jobs points = List.filter_map gclass_async_job points
 
-let uclass_jobs ?strategy points =
-  List.filter_map (uclass_job ?strategy) points
+let uclass_jobs ?exec points = List.filter_map (uclass_job ?exec) points
 
-let jclass_jobs ?strategy ?max_order ~metrics points =
-  List.filter_map (jclass_job ?strategy ?max_order ~metrics) points
+let jclass_jobs ?exec ?max_order ~metrics points =
+  List.filter_map (jclass_job ?exec ?max_order ~metrics) points
 
 (* The smallest honest grid — shared by `sweep --tiny`, `make check`
    and the test suite, so the CI gate exercises exactly this grid. *)
@@ -282,13 +264,13 @@ let tiny_async_points =
 let tiny_jclass_points =
   cross [ axis "mu" [ 3 ]; axis "k" [ 4 ]; axis "z_eff" [ 1 ] ]
 
-(* The async rider always runs sequentially: the α-synchronizer has no
+(* The async rider keeps its own timing: the α-synchronizer has no
    sharded variant (its event loop is inherently serial), and the rider
    exists to pin the seeded schedule, not to go fast. *)
-let tiny_jobs ?strategy () =
-  gclass_jobs ?strategy tiny_points
+let tiny_jobs ?exec () =
+  gclass_jobs ?exec tiny_points
   @ gclass_async_jobs tiny_async_points
-  @ jclass_jobs ?strategy ~metrics:(Metrics.create ()) tiny_jclass_points
+  @ jclass_jobs ?exec ~metrics:(Metrics.create ()) tiny_jclass_points
 
 let record_of_job ?tracer job =
   let metrics = Metrics.create () in
@@ -312,7 +294,7 @@ let record_of_job ?tracer job =
 
 (* Schedule largest-first (by projected cost) so the big instance is
    never the straggler picked up last, then put the results back in
-   job-list order — determinism is untouched because Pool.map is
+   job-list order — determinism is untouched because Shades_pool.map is
    input-order-stable and the permutation depends only on the costs. *)
 let schedule_order jobs =
   let jobs = Array.of_list jobs in
@@ -328,7 +310,7 @@ let schedule_order jobs =
 let run_ordered ?domains f jobs =
   let order = Array.of_list (schedule_order jobs) in
   let jobs = Array.of_list jobs in
-  let results = Pool.map ?domains (fun i -> (i, f jobs.(i))) order in
+  let results = Shades_pool.map ?domains (fun i -> (i, f jobs.(i))) order in
   let out = Array.make (Array.length jobs) None in
   Array.iter (fun (i, r) -> out.(i) <- Some r) results;
   Array.to_list (Array.map Option.get out)

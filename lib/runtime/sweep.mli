@@ -1,5 +1,6 @@
 (** Grid sweeps: compose the paper's graph families with their election
-    schemes into job lists for {!Pool}, producing {!Store} records.
+    schemes into job lists for {!Shades_pool}, producing {!Store}
+    records.
 
     A sweep point is a named integer assignment (e.g.
     [delta=4 k=1 i=2]); {!range} and {!cross} build grids of points;
@@ -52,30 +53,25 @@ type job = {
           {!run} passes [None], {!run_traced} a recorder *)
 }
 
-type strategy =
-  | Sequential  (** {!Shades_election.Scheme.run} — one domain *)
-  | Sharded of { domains : int option }
-      (** {!Shades_election.Scheme.run_sharded} — the vertex-sharded
-          parallel engine on [domains] worker domains ([None] =
-          {!Shades_localsim.Sharded_engine.default_domains}) *)
-(** How the synchronous engine executes a job.  A strategy is an
-    execution detail, not a model change: it is invisible in results,
-    metrics, job params, labels, and trace metadata (the trace [engine]
-    stays [Sync]), so records and blessed baselines are identical
-    across strategies and domain counts.  Contrast with the
-    ["g-async"] family, which is a {e semantic} variant (different
-    event stream) and therefore a separate family with its own
-    baselines.  The [*_jobs] builders below default to [Sequential];
-    the async rider always runs sequentially (the α-synchronizer's
-    event loop is inherently serial). *)
+(** The synchronous job builders below take an [?exec] config
+    (default {!Shades_localsim.Exec.default}) and run the scheme
+    through {!Shades_election.Scheme.run} under it.  Pass a synchronous
+    timing — [Sequential] or [Sharded _]: sharding is an execution
+    detail, not a model change, invisible in results, metrics, job
+    params, labels, and trace metadata (the trace [engine] stays
+    [Sync]), so records and blessed baselines are identical across
+    timings and domain counts.  Contrast with the ["g-async"] family,
+    which is a {e semantic} variant (different event stream) and
+    therefore a separate family with its own baselines and its own
+    [Async (Seeded seed)] timing. *)
 
-val gclass_job : ?strategy:strategy -> point -> job option
+val gclass_job : ?exec:Shades_localsim.Exec.t -> point -> job option
 (** Selection (Theorem 2.2 scheme) on [G_i] of [G_{∆,k}].  Point keys:
     [delta] (≥ 3), [k] (≥ 1), optional [i] (default 2 — the smallest
     index with all lemma guarantees).  [None] if the point is outside
     the class (e.g. [i] exceeds the class size). *)
 
-val uclass_job : ?strategy:strategy -> point -> job option
+val uclass_job : ?exec:Shades_localsim.Exec.t -> point -> job option
 (** Port Election (Lemma 3.9 scheme) on [G_σ] of [U_{∆,k}] with
     uniform σ.  Point keys: [delta] (≥ 4), [k] (≥ 1), optional [sigma]
     (default 1, must be in [1..∆−1]).  [None] outside the class, and
@@ -87,8 +83,8 @@ val default_max_order : int
     (20 000 — J(3,4) fits up to [z_eff = 4]). *)
 
 val jclass_job :
-  ?strategy:strategy -> ?max_order:int -> metrics:Metrics.t -> point ->
-  job option
+  ?exec:Shades_localsim.Exec.t -> ?max_order:int -> metrics:Metrics.t ->
+  point -> job option
 (** Complete Port-Position Election (Lemma 4.8 scheme) on the scaled
     template [J_{Y=0}] of [J_{µ,k}].  Point keys: [mu] (≥ 3), [k]
     (≥ 4), optional [z_eff] (default 1, must be in [1..z(µ,k)]).
@@ -101,23 +97,24 @@ val jclass_job :
 
 val gclass_async_job : point -> job option
 (** The {!gclass_job} instance driven through the α-synchronizer
-    ({!Shades_election.Scheme.run_async}) instead of the synchronous
-    engine: family ["g-async"], extra point key [seed] (default 0)
-    feeding the engine's delay PRNG.  Outputs, rounds and verification
-    must match the synchronous run (the scheme is timing-oblivious);
+    ([Async (Seeded seed)], {!Shades_localsim.Exec.of_trace_engine})
+    instead of the synchronous engine: family ["g-async"], extra point
+    key [seed] (default 0) feeding the delay PRNG.  Outputs, rounds and
+    verification must match the synchronous run (the scheme is
+    timing-oblivious);
     what this family pins down in blessed baselines is the seeded
     schedule itself — delay draws, [Sync_marker]s and message
     interleaving as a function of [(point, seed)]. *)
 
-val gclass_jobs : ?strategy:strategy -> point list -> job list
+val gclass_jobs : ?exec:Shades_localsim.Exec.t -> point list -> job list
 val gclass_async_jobs : point list -> job list
-val uclass_jobs : ?strategy:strategy -> point list -> job list
+val uclass_jobs : ?exec:Shades_localsim.Exec.t -> point list -> job list
 (** Valid jobs for every point of a grid, in grid order (invalid
     points are dropped). *)
 
 val jclass_jobs :
-  ?strategy:strategy -> ?max_order:int -> metrics:Metrics.t -> point list ->
-  job list
+  ?exec:Shades_localsim.Exec.t -> ?max_order:int -> metrics:Metrics.t ->
+  point list -> job list
 (** {!jclass_job} over a grid; over-budget skips are tallied in
     [metrics] as for {!jclass_job}. *)
 
@@ -136,11 +133,11 @@ val tiny_jclass_points : point list
     (μ = 3, k = 4) at [z_eff = 1] (402 nodes), so the gates pin all
     four shades rather than Selection alone. *)
 
-val tiny_jobs : ?strategy:strategy -> unit -> job list
+val tiny_jobs : ?exec:Shades_localsim.Exec.t -> unit -> job list
 (** The G-class grid, the async rider, and the J-class rider, in that
     order — exactly what [sweep --tiny], [make check] and the committed
-    [BENCH_tiny/] baseline run.  [strategy] applies to the synchronous
-    jobs; the async rider always runs sequentially. *)
+    [BENCH_tiny/] baseline run.  [exec] applies to the synchronous
+    jobs; the async rider keeps its seeded α-synchronizer timing. *)
 
 val schedule_order : job list -> int list
 (** The pickup order {!run} hands jobs to the pool: indexes into the
@@ -149,7 +146,8 @@ val schedule_order : job list -> int list
     --dry-run] can print exactly the schedule a real run would use. *)
 
 val run : ?domains:int -> job list -> Store.record list
-(** Execute the jobs on a {!Pool} ([domains] as in {!Pool.map}) and
+(** Execute the jobs on a domain pool ([domains] as in
+    {!Shades_pool.map}) and
     return one record per job, in job-list order.  Jobs are handed to
     the pool largest-[cost]-first (longest-processing-time heuristic)
     so a big instance never trails as the last pickup; the returned

@@ -3,7 +3,7 @@
 
     Keys are strings (content addresses); values are whatever the
     caller computes for a key.  The cache is mutex-guarded and safe to
-    share across {!Shades_runtime.Pool} domains.
+    share across {!Shades_pool} domains.
 
     {2 Tiers}
 

@@ -1,5 +1,5 @@
 
-module Pool = Shades_runtime.Pool
+module Pool = Shades_pool
 module Metrics = Shades_runtime.Metrics
 
 let socket_of_endpoint = function

@@ -2,7 +2,7 @@
 
     All request semantics live in {!Service}; this module only moves
     frames between sockets and [Service.handle].  Connections are
-    served on a persistent {!Shades_runtime.Pool.Crew}, one submitted
+    served on a persistent {!Shades_pool.Crew}, one submitted
     task per accepted connection, so [domains] concurrent clients make
     progress independently while the advice cache (mutex-guarded inside
     the service) is shared between them.

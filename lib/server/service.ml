@@ -11,6 +11,7 @@ module Store = Shades_runtime.Store
 module Trace = Shades_trace.Trace
 module Codec = Shades_trace.Codec
 module Replay = Shades_trace.Replay
+module Exec = Shades_localsim.Exec
 
 (* Versions folded into the cache keys — defined once in
    [Shades_versions.Versions] (bump [advice] whenever any scheme's
@@ -319,10 +320,18 @@ let elect t req =
   (* "sharded" is the synchronous engine executed vertex-sharded across
      worker domains — same results, telemetry and traces, so it shares
      the sync path (cached advice included) and only the executor
-     differs.  "async" is a semantic variant with its own path. *)
-  let engine =
+     differs.  "async" is a semantic variant with its own path.
+
+     The result key: every engine is deterministic (async per seed), so
+     the whole reply is a pure function of (submitted encoding, task,
+     engine, versions) and can be served from the result cache without
+     touching oracle or engine.  The sharded engine is observationally
+     identical to sync at any domain count, but echoes a different
+     engine name, so it gets its own key; the domain count itself is
+     deliberately absent. *)
+  let (timing : Exec.timing), engine_name, result_engine =
     match Json.member "engine" req with
-    | None | Some (Json.String "sync") -> `Sync
+    | None | Some (Json.String "sync") -> (Sequential, "sync", "sync")
     | Some (Json.String "sharded") ->
         let domains =
           match Json.member "domains" req with
@@ -330,7 +339,7 @@ let elect t req =
           | None -> None
           | Some _ -> failwith "\"domains\" must be a positive integer"
         in
-        `Sharded domains
+        (Sharded domains, "sharded", "sharded")
     | Some (Json.String "async") ->
         let seed =
           match Json.member "seed" req with
@@ -338,29 +347,13 @@ let elect t req =
           | None -> 0
           | Some _ -> failwith "\"seed\" must be an integer"
         in
-        `Async seed
+        ( Async (Seeded seed),
+          Trace.engine_to_string (Trace.Async { seed }),
+          Printf.sprintf "async-s%d" seed )
     | Some _ ->
         failwith "\"engine\" must be \"sync\", \"sharded\" or \"async\""
   in
-  let engine_name =
-    match engine with
-    | `Sync -> "sync"
-    | `Sharded _ -> "sharded"
-    | `Async seed -> Trace.engine_to_string (Trace.Async { seed })
-  in
-  (* The result key: every engine is deterministic (async per seed), so
-     the whole reply is a pure function of (submitted encoding, task,
-     engine, versions) and can be served from the result cache without
-     touching oracle or engine.  The sharded engine is observationally
-     identical to sync at any domain count, but echoes a different
-     engine name, so it gets its own key; the domain count itself is
-     deliberately absent. *)
-  let result_engine =
-    match engine with
-    | `Sync -> "sync"
-    | `Sharded _ -> "sharded"
-    | `Async seed -> Printf.sprintf "async-s%d" seed
-  in
+  let exec = { Exec.default with timing } in
   let key =
     elect_key ~digest:(encoding_digest g) ~task ~engine:result_engine
   in
@@ -368,34 +361,25 @@ let elect t req =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "elect_computes";
         let (Impl { scheme; verify; payload_to_json; _ }) = impl_of_task task in
-        let messages = ref 0 in
-        let on_round ~round:_ ~messages:m = messages := m in
         let digest, run, cached =
-          match engine with
-          | (`Sync | `Sharded _) as engine ->
+          match timing with
+          | Async _ ->
+              (* the α-synchronizer path exercises the full scheme (oracle
+                 included) — it pins schedules, not advice reuse *)
+              let digest = canonical_digest t g in
+              let run =
+                Metrics.time t.metrics "elect" (fun () -> Scheme.run ~exec scheme g)
+              in
+              (digest, run, false)
+          | Sequential | Sharded _ ->
               (* the sync path reuses the cached advice end-to-end: a warm
                  election never recomputes the oracle *)
               let digest, entry, cached = advise_entry t g task in
               let run =
                 Metrics.time t.metrics "elect" (fun () ->
-                    match engine with
-                    | `Sync ->
-                        Scheme.run_with_advice ~on_round scheme g
-                          ~advice:entry.advice
-                    | `Sharded domains ->
-                        Scheme.run_sharded_with_advice ?domains ~on_round scheme g
-                          ~advice:entry.advice)
+                    Scheme.run_with_advice ~exec scheme g ~advice:entry.advice)
               in
               (digest, run, cached)
-          | `Async seed ->
-              (* the α-synchronizer path exercises the full scheme (oracle
-                 included) — it pins schedules, not advice reuse *)
-              let digest = canonical_digest t g in
-              let run =
-                Metrics.time t.metrics "elect" (fun () ->
-                    Scheme.run_async ~seed ~on_round scheme g)
-              in
-              (digest, run, false)
         in
         let verdict = verify g run.Scheme.outputs in
         Json.Obj
@@ -404,7 +388,7 @@ let elect t req =
             ("task", Json.String (Task.kind_to_string task));
             ("engine", Json.String engine_name);
             ("rounds", Json.Int run.Scheme.rounds);
-            ("messages", Json.Int !messages);
+            ("messages", Json.Int run.Scheme.messages);
             ("advice_bits", Json.Int run.Scheme.advice_bits);
             ("cached", Json.Bool cached);
             ("verified", Json.Bool (Result.is_ok verdict));
@@ -515,11 +499,8 @@ let verify_trace t req =
   in
   let g = Spec.parse_exn spec in
   let (Impl { scheme; _ }) = impl_of_task task in
-  let exec emit =
-    match trace.Trace.meta.Trace.engine with
-    | Trace.Sync -> ignore (Scheme.run ~tracer:emit scheme g)
-    | Trace.Async { seed } -> ignore (Scheme.run_async ~seed ~tracer:emit scheme g)
-  in
+  let config = Exec.of_trace_engine trace.Trace.meta.Trace.engine in
+  let exec emit = ignore (Scheme.run ~exec:config ~tracer:emit scheme g) in
   let outcome = Metrics.time t.metrics "replay" (fun () -> Replay.run trace exec) in
   Protocol.ok_response ~op:"verify-trace"
     (Json.Obj

@@ -50,10 +50,15 @@ let random_faults seed n =
 
 (* --- sequential = sharded under any fault plan, traces included --- *)
 
-let faulty_run run =
+let faulty_run ?(timing = Exec.Sequential) g ~faults alg =
   let events = ref [] in
-  let r = run ~tracer:(fun e -> events := e :: !events) in
-  (r.Engine.outputs, r.Engine.rounds, r.Engine.messages, List.rev !events)
+  let r =
+    Exec.run
+      ~tracer:(fun e -> events := e :: !events)
+      { Exec.default with timing; faults }
+      g ~advice:no_advice alg
+  in
+  (r, List.rev !events)
 
 let prop_sharded_fault_equiv =
   QCheck.Test.make
@@ -63,17 +68,11 @@ let prop_sharded_fault_equiv =
     (fun (seed, n, extra) ->
       let g = random_graph seed n extra in
       let faults = random_faults seed n in
-      let seq =
-        faulty_run (fun ~tracer ->
-            Engine.run_with_faults ~tracer g ~advice:no_advice ~faults
-              (summing 3))
-      in
+      let seq = faulty_run g ~faults (summing 3) in
       List.for_all
         (fun domains ->
           seq
-          = faulty_run (fun ~tracer ->
-                Sharded_engine.run_with_faults ~domains ~tracer g
-                  ~advice:no_advice ~faults (summing 3)))
+          = faulty_run ~timing:(Sharded (Some domains)) g ~faults (summing 3))
         [ 1; 2; 4 ])
 
 (* --- crash at round 0 = deleting the victim's outgoing messages --- *)
@@ -86,10 +85,8 @@ let prop_crash0_is_muted_sends =
       let g = random_graph seed n extra in
       let v = seed mod n in
       let r = 1 + (seed mod 3) in
-      let res =
-        Engine.run_with_faults g ~advice:no_advice
-          ~faults:[ { Engine.victim = v; at_round = 0 } ]
-          (summing r)
+      let res, _ =
+        faulty_run g ~faults:[ { Engine.victim = v; at_round = 0 } ] (summing r)
       in
       (* every node sends on every port each of the r rounds, so with
          only v muted, node u receives r * (deg u - [u ~ v]) messages —
@@ -103,17 +100,17 @@ let prop_crash0_is_muted_sends =
       let outputs_ok =
         List.for_all
           (fun u ->
-            if u = v then res.Engine.outputs.(u) = None
+            if u = v then res.Exec.outputs.(u) = None
             else
-              res.Engine.outputs.(u)
+              res.Exec.outputs.(u)
               = Some (Port_graph.degree g u, expected u))
           (Port_graph.vertices g)
       in
       let messages_ok =
-        res.Engine.messages
+        res.Exec.messages
         = r * ((2 * Port_graph.size g) - Port_graph.degree g v)
       in
-      outputs_ok && messages_ok && res.Engine.rounds = r)
+      outputs_ok && messages_ok && res.Exec.rounds = r)
 
 (* --- fault plan semantics --- *)
 
@@ -136,15 +133,18 @@ let test_crash_schedule () =
     (Invalid_argument "Engine: crash victim out of range") (fun () ->
       ignore (Fault.normalize ~n:5 [ { Engine.victim = 5; at_round = 1 } ]))
 
+(* The empty plan is the fault-free run, and so is a plan whose only
+   crash falls after every node decided (a no-op, never traced). *)
 let test_faultfree_plan_is_run () =
   let g = Gen.path 5 in
-  let plain = Engine.run g ~advice:no_advice (summing 2) in
-  let faulty = Engine.run_with_faults g ~advice:no_advice ~faults:[] (summing 2) in
-  Alcotest.(check bool) "same outputs" true
-    (Array.map Option.some plain.Engine.outputs = faulty.Engine.outputs);
-  Alcotest.(check int) "same rounds" plain.Engine.rounds faulty.Engine.rounds;
-  Alcotest.(check int) "same messages" plain.Engine.messages
-    faulty.Engine.messages
+  let plain = faulty_run g ~faults:[] (summing 2) in
+  Alcotest.(check bool) "empty plan: same result and trace" true
+    (plain = faulty_run g ~faults:[] (summing 2));
+  Alcotest.(check bool) "late crash: same result and trace" true
+    (plain
+    = faulty_run g ~faults:[ { Engine.victim = 2; at_round = 9 } ] (summing 2));
+  Alcotest.(check bool) "fault-free: every node decided" true
+    (Array.for_all Option.is_some (fst plain).Exec.outputs)
 
 let test_scheme_fault_outcomes () =
   let g = Gen.path 4 in
@@ -162,16 +162,37 @@ let test_scheme_fault_outcomes () =
   | Fault.Survived { decided = 4; crashed = 0; _ } -> ()
   | o -> Alcotest.failf "late crash: %s" (Fault.describe o)
 
+(* Scheme runs report total outputs, so they refuse crash plans; the
+   option-valued path is Fault.run / Full_info.run_adaptive. *)
+let test_scheme_rejects_faults () =
+  let module Scheme = Shades_election.Scheme in
+  let g = Gen.path 4 in
+  let scheme = Map_advice.selection in
+  let exec =
+    { Exec.default with faults = [ { Engine.victim = 1; at_round = 1 } ] }
+  in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a fault plan" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "Scheme.run" (fun () -> Scheme.run ~exec scheme g);
+  rejects "Scheme.run_with_advice" (fun () ->
+      Scheme.run_with_advice ~exec scheme g ~advice:(scheme.Scheme.oracle g))
+
 (* --- Crash event: trace stats and codec round-trip --- *)
 
 let test_crash_trace_roundtrip () =
   let g = Gen.path 4 in
   let rec_ = Trace.recorder () in
   let _ =
-    Engine.run_with_faults ~tracer:(Trace.emit rec_) g ~advice:no_advice
-      ~faults:
-        [ { Engine.victim = 0; at_round = 0 }; { Engine.victim = 2; at_round = 2 } ]
-      (summing 3)
+    Exec.run ~tracer:(Trace.emit rec_)
+      {
+        Exec.default with
+        faults =
+          [ { Engine.victim = 0; at_round = 0 }; { Engine.victim = 2; at_round = 2 } ];
+      }
+      g ~advice:no_advice (summing 3)
   in
   let trace =
     Trace.capture rec_
@@ -211,7 +232,9 @@ let test_schedule_invariance_and_search () =
   let scheme = Map_advice.selection in
   let reference = Shades_election.Scheme.run scheme g in
   let plan = Schedule.of_seed g ~seed:42 in
-  let run, makespan = Shades_election.Scheme.run_plan ~delay:(Schedule.delay_fn plan) scheme g in
+  let exec = { Exec.default with timing = Async (Plan (Schedule.delay_fn plan)) } in
+  let run = Shades_election.Scheme.run ~exec scheme g in
+  let makespan = run.Shades_election.Scheme.makespan in
   Alcotest.(check bool) "outputs plan-invariant" true
     (run.Shades_election.Scheme.outputs = reference.Shades_election.Scheme.outputs);
   Alcotest.(check int) "rounds plan-invariant"
@@ -334,6 +357,8 @@ let () =
             test_crash_schedule;
           Alcotest.test_case "empty plan = fault-free run" `Quick
             test_faultfree_plan_is_run;
+          Alcotest.test_case "scheme runs reject fault plans" `Quick
+            test_scheme_rejects_faults;
           Alcotest.test_case "scheme-level outcomes" `Quick
             test_scheme_fault_outcomes;
           Alcotest.test_case "Crash events: stats, codec, position" `Quick

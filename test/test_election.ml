@@ -123,7 +123,7 @@ let test_solve_rejects_small_depth () =
 
 let test_select_by_view_line () =
   let g = three_node_line () in
-  let { Scheme.outputs; rounds; advice_bits } =
+  let { Scheme.outputs; rounds; advice_bits; _ } =
     Scheme.run Select_by_view.scheme g
   in
   Alcotest.check result_t "elects" (Ok 1) (Verify.selection g outputs);

@@ -130,7 +130,7 @@ let test_thm_2_2_on_g () =
   List.iter
     (fun (delta, k, i) ->
       let { Gclass.graph = g; special_root; _ } = build delta k i in
-      let { Scheme.outputs; rounds; advice_bits } =
+      let { Scheme.outputs; rounds; advice_bits; _ } =
         Scheme.run Select_by_view.scheme g
       in
       Alcotest.(check (result int string))

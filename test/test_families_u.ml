@@ -136,7 +136,7 @@ let test_lemma_3_9_pe_scheme () =
     (fun sigma ->
       let t = Uclass.build params ~sigma in
       let g = t.Uclass.graph in
-      let { Scheme.outputs; rounds; advice_bits } =
+      let { Scheme.outputs; rounds; advice_bits; _ } =
         Scheme.run Uclass.pe_scheme g
       in
       Alcotest.(check int) "rounds = k" params.Uclass.k rounds;

@@ -6,6 +6,14 @@ open Shades_localsim
 
 let no_advice = Shades_bits.Bitstring.empty
 
+let async seed = { Exec.default with timing = Async (Seeded seed) }
+
+let run ?on_round ?(exec = Exec.default) g ~advice alg =
+  Exec.run ?on_round exec g ~advice alg
+
+(* fault-free runs decide everywhere *)
+let total (r : _ Exec.result) = Array.map Option.get r.outputs
+
 (* A trivial algorithm that just counts down [r] rounds and then outputs
    its degree. *)
 let countdown r =
@@ -18,15 +26,14 @@ let countdown r =
 
 let test_round_counting () =
   let g = Gen.oriented_ring 5 in
-  let result = Engine.run g ~advice:no_advice (countdown 3) in
-  Alcotest.(check int) "rounds" 3 result.Engine.rounds;
-  Alcotest.(check (array int)) "outputs" [| 2; 2; 2; 2; 2 |]
-    result.Engine.outputs
+  let result = run g ~advice:no_advice (countdown 3) in
+  Alcotest.(check int) "rounds" 3 result.rounds;
+  Alcotest.(check (array int)) "outputs" [| 2; 2; 2; 2; 2 |] (total result)
 
 let test_zero_rounds () =
   let g = Gen.path 3 in
-  let result = Engine.run g ~advice:no_advice (countdown 0) in
-  Alcotest.(check int) "no rounds" 0 result.Engine.rounds
+  let result = run g ~advice:no_advice (countdown 0) in
+  Alcotest.(check int) "no rounds" 0 result.rounds
 
 let test_nontermination () =
   let never =
@@ -39,7 +46,9 @@ let test_nontermination () =
   in
   let g = Gen.path 3 in
   Alcotest.check_raises "raises" (Engine.Did_not_terminate 5) (fun () ->
-      ignore (Engine.run ~max_rounds:5 g ~advice:no_advice never))
+      ignore
+        (run ~exec:{ Exec.default with max_rounds = Some 5 } g
+           ~advice:no_advice never))
 
 let test_advice_delivered () =
   (* Every node must receive the same advice string. *)
@@ -54,9 +63,9 @@ let test_advice_delivered () =
     }
   in
   let g = Gen.path 3 in
-  let result = Engine.run g ~advice echo in
+  let result = run g ~advice echo in
   Alcotest.(check (array string)) "advice" [| "1011"; "1011"; "1011" |]
-    result.Engine.outputs
+    (total result)
 
 (* Flooding: each node outputs the round at which it first heard from a
    degree-1 node (leaves output 0).  On a path, that is the distance to
@@ -86,9 +95,9 @@ let flooding =
 
 let test_flooding_distances () =
   let g = Gen.path 7 in
-  let result = Engine.run g ~advice:no_advice flooding in
+  let result = run g ~advice:no_advice flooding in
   Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 2; 1; 0 |]
-    result.Engine.outputs
+    (total result)
 
 (* Decided nodes halt: a node whose output is [Some _] at round 0 must
    never send or step, even while other nodes are still running — the
@@ -116,31 +125,32 @@ let spam_if_alive rounds_for_interior =
 
 let test_round0_decided_halt () =
   let g = Gen.path 3 in
-  let result = Engine.run g ~advice:no_advice (spam_if_alive 2) in
+  let result = run g ~advice:no_advice (spam_if_alive 2) in
   (* ends decided at round 0: heard nothing, sent nothing; the middle
      node's 2 ports * 2 rounds are the only messages *)
-  Alcotest.(check (array int)) "no spam received" [| 0; 0; 0 |]
-    result.Engine.outputs;
-  Alcotest.(check int) "only the live node sent" 4 result.Engine.messages
+  Alcotest.(check (array int)) "no spam received" [| 0; 0; 0 |] (total result);
+  Alcotest.(check int) "only the live node sent" 4 result.messages
 
 let test_async_round0_decided_halt () =
   let g = Gen.path 3 in
   List.iter
     (fun seed ->
-      let result = Async_engine.run ~seed g ~advice:no_advice (spam_if_alive 2) in
+      let result =
+        run ~exec:(async seed) g ~advice:no_advice (spam_if_alive 2)
+      in
       Alcotest.(check (array int))
         (Printf.sprintf "no spam received (seed %d)" seed)
-        [| 0; 0; 0 |] result.Engine.outputs;
+        [| 0; 0; 0 |] (total result);
       Alcotest.(check int)
         (Printf.sprintf "only the live node sent (seed %d)" seed)
-        4 result.Engine.messages)
+        4 result.messages)
     [ 0; 1; 9 ]
 
 let test_on_round_hook () =
   let g = Gen.oriented_ring 5 in
   let seen = ref [] in
   let result =
-    Engine.run
+    run
       ~on_round:(fun ~round ~messages -> seen := (round, messages) :: !seen)
       g ~advice:no_advice (countdown 3)
   in
@@ -148,7 +158,7 @@ let test_on_round_hook () =
     "hook saw every round with cumulative messages"
     [ (1, 10); (2, 20); (3, 30) ]
     (List.rev !seen);
-  Alcotest.(check int) "hook total = result total" result.Engine.messages 30
+  Alcotest.(check int) "hook total = result total" result.messages 30
 
 let test_async_on_round_hook () =
   (* The hook fires on the first undecided step of each round, so the
@@ -160,11 +170,11 @@ let test_async_on_round_hook () =
       let g = Gen.oriented_ring 5 in
       let seen = ref [] in
       let result =
-        Async_engine.run ~seed
+        run ~exec:(async seed)
           ~on_round:(fun ~round ~messages -> seen := (round, messages) :: !seen)
           g ~advice:no_advice (countdown 3)
       in
-      Alcotest.(check int) "rounds" 3 result.Engine.rounds;
+      Alcotest.(check int) "rounds" 3 result.rounds;
       let seen = List.rev !seen in
       Alcotest.(check (list int))
         (Printf.sprintf "rounds exactly 1..3, once each, in order (seed %d)"
@@ -179,9 +189,41 @@ let test_async_on_round_hook () =
         (Printf.sprintf "counts within the run total (seed %d)" seed)
         true
         (List.for_all
-           (fun m -> m >= 0 && m <= result.Engine.messages)
+           (fun m -> m >= 0 && m <= result.messages)
            messages))
     [ 0; 1; 2; 17 ]
+
+(* One round budget for every timing: a 3-vertex star whose leaves
+   decide at init and whose center needs one round, run with a budget
+   of zero rounds, must stall before executing round 1 — sequentially,
+   sharded at any domain count, and under every delay schedule. *)
+let test_budget_every_timing () =
+  let g = Gen.star 3 in
+  let timings =
+    (Exec.Sequential :: List.map (fun d -> Exec.Sharded (Some d)) [ 1; 2; 3; 4 ])
+    @ List.init 21 (fun seed -> Exec.Async (Seeded seed))
+    @ [ Exec.Async (Plan (fun ~round:_ ~v ~port -> 0.1 +. float (v + port))) ]
+  in
+  List.iteri
+    (fun i timing ->
+      let exec = { Exec.default with timing; max_rounds = Some 0 } in
+      Alcotest.check_raises
+        (Printf.sprintf "timing #%d stalls at budget 0" i)
+        (Engine.Did_not_terminate 0) (fun () ->
+          ignore (Exec.run exec g ~advice:no_advice (spam_if_alive 1))))
+    timings
+
+let test_async_rejects_faults () =
+  let exec =
+    {
+      Exec.default with
+      timing = Async (Seeded 0);
+      faults = [ { Engine.victim = 0; at_round = 1 } ];
+    }
+  in
+  Alcotest.check_raises "async + faults"
+    (Invalid_argument "Exec.run: no kernel combines asynchronous timing with faults")
+    (fun () -> ignore (Exec.run exec (Gen.path 3) ~advice:no_advice (countdown 1)))
 
 (* The full-information protocol must reconstruct exactly B^r. *)
 
@@ -209,12 +251,12 @@ let prop_adaptive_rounds =
   QCheck.Test.make ~name:"adaptive round count honoured" ~count:50 rand_graph
     (fun (seed, n, extra, rounds) ->
       let g = Gen.random (Random.State.make [| seed |]) n ~extra_edges:extra in
-      let _, used =
+      let r =
         Full_info.run_adaptive g ~advice:no_advice
           ~rounds_of:(fun ~advice:_ ~degree:_ -> rounds)
           ~decide:(fun ~advice:_ _ -> ())
       in
-      used = rounds)
+      r.rounds = rounds)
 
 (* --- asynchronous execution with time-stamps --- *)
 
@@ -223,16 +265,16 @@ let test_async_flooding () =
   let g = Gen.path 7 in
   List.iter
     (fun seed ->
-      let result = Async_engine.run ~seed g ~advice:no_advice flooding in
+      let result = run ~exec:(async seed) g ~advice:no_advice flooding in
       Alcotest.(check (array int))
         (Printf.sprintf "async distances (seed %d)" seed)
-        [| 0; 1; 2; 3; 2; 1; 0 |] result.Engine.outputs)
+        [| 0; 1; 2; 3; 2; 1; 0 |] (total result))
     [ 0; 1; 2; 17 ]
 
 let test_async_zero_rounds () =
   let g = Gen.path 3 in
-  let result = Async_engine.run g ~advice:no_advice (countdown 0) in
-  Alcotest.(check int) "no rounds" 0 result.Engine.rounds
+  let result = run ~exec:(async 0) g ~advice:no_advice (countdown 0) in
+  Alcotest.(check int) "no rounds" 0 result.rounds
 
 let test_async_nontermination () =
   let never =
@@ -244,9 +286,10 @@ let test_async_nontermination () =
     }
   in
   let g = Gen.path 3 in
-  match Async_engine.run ~max_rounds:5 g ~advice:no_advice never with
-  | exception Engine.Did_not_terminate _ -> ()
-  | _ -> Alcotest.fail "expected Did_not_terminate"
+  Alcotest.check_raises "raises" (Engine.Did_not_terminate 5) (fun () ->
+      ignore
+        (run ~exec:{ (async 0) with max_rounds = Some 5 } g ~advice:no_advice
+           never))
 
 let prop_async_equals_sync =
   (* Any delay schedule yields the synchronous outputs and round count. *)
@@ -260,16 +303,14 @@ let prop_async_equals_sync =
         (List.exists
            (fun v -> Port_graph.degree g v = 1)
            (Port_graph.vertices g));
-      let sync_c = Engine.run g ~advice:no_advice (countdown 3) in
-      let async_c =
-        Async_engine.run ~seed g ~advice:no_advice (countdown 3)
-      in
-      let sync_f = Engine.run g ~advice:no_advice flooding in
-      let async_f = Async_engine.run ~seed g ~advice:no_advice flooding in
-      sync_c.Engine.outputs = async_c.Engine.outputs
-      && sync_c.Engine.rounds = async_c.Engine.rounds
-      && sync_f.Engine.outputs = async_f.Engine.outputs
-      && sync_f.Engine.rounds = async_f.Engine.rounds)
+      let sync_c = run g ~advice:no_advice (countdown 3) in
+      let async_c = run ~exec:(async seed) g ~advice:no_advice (countdown 3) in
+      let sync_f = run g ~advice:no_advice flooding in
+      let async_f = run ~exec:(async seed) g ~advice:no_advice flooding in
+      sync_c.outputs = async_c.outputs
+      && sync_c.rounds = async_c.rounds
+      && sync_f.outputs = async_f.outputs
+      && sync_f.rounds = async_f.rounds)
 
 let prop_async_full_info =
   (* The view-exchange protocol survives asynchrony: B^r gathered
@@ -300,10 +341,10 @@ let prop_async_full_info =
             (fun (target, view) -> if target = 0 then Some view else None);
         }
       in
-      let result = Async_engine.run ~seed g ~advice:no_advice alg in
+      let result = total (run ~exec:(async seed) g ~advice:no_advice alg) in
       List.for_all
         (fun v ->
-          View_tree.equal result.Engine.outputs.(v)
+          View_tree.equal result.(v)
             (View_tree.of_graph g v ~depth:rounds))
         (Port_graph.vertices g))
 
@@ -320,6 +361,10 @@ let () =
           Alcotest.test_case "round-0 deciders halt" `Quick
             test_round0_decided_halt;
           Alcotest.test_case "on_round hook" `Quick test_on_round_hook;
+          Alcotest.test_case "round budget, every timing" `Quick
+            test_budget_every_timing;
+          Alcotest.test_case "async rejects faults" `Quick
+            test_async_rejects_faults;
         ] );
       ( "full_info",
         List.map QCheck_alcotest.to_alcotest

@@ -3,6 +3,7 @@
    counts. *)
 
 open Shades_runtime
+module Pool = Shades_pool
 
 (* --- Pool --- *)
 

@@ -631,6 +631,39 @@ let test_service_elect_sharded () =
   in
   Alcotest.(check bool) "bad domains rejected" true (is_error bad)
 
+(* "engine":"async" reports the run's message total, like every other
+   engine — on a two-round election, where the count at the last round
+   start would fall short of it. *)
+let test_service_elect_async () =
+  let s = Service.create () in
+  let elect_req extra =
+    Json.Obj
+      ([
+         ("op", Json.String "elect");
+         ("graph", Json.String "gclass:3,2,2");
+         ("task", Json.String "s");
+       ]
+      @ extra)
+  in
+  let sync = result_of (handle_ok s (elect_req [])) in
+  let field name r = Json.to_string (Option.get (Json.member name r)) in
+  Alcotest.(check string) "two rounds" "2" (field "rounds" sync);
+  List.iter
+    (fun seed ->
+      let async =
+        result_of
+          (handle_ok s
+             (elect_req
+                [ ("engine", Json.String "async"); ("seed", Json.Int seed) ]))
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s matches sync (seed %d)" name seed)
+            (field name sync) (field name async))
+        [ "outputs"; "rounds"; "messages"; "leader" ])
+    [ 0; 3 ]
+
 let test_service_verify_trace () =
   let s = Service.create () in
   (* record a trace exactly as `shades trace record` does *)
@@ -794,7 +827,7 @@ let test_service_batch () =
 let test_service_batch_parallel () =
   (* same semantics with a real crew installed as the fan-out hook:
      replies stay in request order regardless of scheduling *)
-  let module Pool = Shades_runtime.Pool in
+  let module Pool = Shades_pool in
   let s = Service.create () in
   let crew = Pool.Crew.create ~domains:3 () in
   Service.set_parallel s (Some (Pool.Crew.run_all crew));
@@ -1101,6 +1134,7 @@ let () =
           Alcotest.test_case "eviction" `Quick test_service_eviction;
           Alcotest.test_case "elect + verify" `Quick test_service_elect_and_verify;
           Alcotest.test_case "elect sharded" `Quick test_service_elect_sharded;
+          Alcotest.test_case "elect async" `Quick test_service_elect_async;
           Alcotest.test_case "verify-trace" `Quick test_service_verify_trace;
           Alcotest.test_case "restart recovery" `Quick
             test_service_restart_recovery;

@@ -17,6 +17,8 @@ let no_advice = Shades_bits.Bitstring.empty
 
 let domain_counts = [ 1; 2; 3; 4 ]
 
+let sharded d = { Exec.default with timing = Sharded (Some d) }
+
 (* --- Crew.run_all: the fork-join barrier --- *)
 
 let test_run_all_runs_everything () =
@@ -110,7 +112,7 @@ let test_run_all_after_shutdown () =
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* --- Sharded_engine vs Engine on ad-hoc algorithms --- *)
+(* --- Sharded vs Sequential timing on ad-hoc algorithms --- *)
 
 let countdown r =
   {
@@ -151,22 +153,18 @@ let check_equiv ?(msg_size = fun _ -> 0) name g ~advice alg =
   in
   let seq_r, seq_events, seq_hooks =
     capture (fun ~on_round ~tracer ->
-        Engine.run ~on_round ~tracer ~msg_size g ~advice alg)
+        Exec.run ~on_round ~tracer ~msg_size Exec.default g ~advice alg)
   in
   List.iter
     (fun domains ->
       let sh_r, sh_events, sh_hooks =
         capture (fun ~on_round ~tracer ->
-            Sharded_engine.run ~domains ~on_round ~tracer ~msg_size g ~advice
-              alg)
+            Exec.run ~on_round ~tracer ~msg_size (sharded domains) g ~advice alg)
       in
       let tag fmt = Printf.sprintf "%s (domains=%d): %s" name domains fmt in
-      Alcotest.(check bool)
-        (tag "outputs") true
-        (seq_r.Engine.outputs = sh_r.Engine.outputs);
-      Alcotest.(check int) (tag "rounds") seq_r.Engine.rounds sh_r.Engine.rounds;
-      Alcotest.(check int)
-        (tag "messages") seq_r.Engine.messages sh_r.Engine.messages;
+      Alcotest.(check bool) (tag "outputs") true (seq_r.outputs = sh_r.outputs);
+      Alcotest.(check int) (tag "rounds") seq_r.rounds sh_r.rounds;
+      Alcotest.(check int) (tag "messages") seq_r.messages sh_r.messages;
       Alcotest.(check (list (pair int int)))
         (tag "on_round telemetry") seq_hooks sh_hooks;
       Alcotest.(check int)
@@ -187,21 +185,17 @@ let test_zero_rounds () =
   List.iter
     (fun domains ->
       let r =
-        Sharded_engine.run ~domains (Gen.path 3) ~advice:no_advice
-          (countdown 0)
+        Exec.run (sharded domains) (Gen.path 3) ~advice:no_advice (countdown 0)
       in
-      Alcotest.(check int) "no rounds" 0 r.Engine.rounds;
-      Alcotest.(check int) "no messages" 0 r.Engine.messages)
+      Alcotest.(check int) "no rounds" 0 r.rounds;
+      Alcotest.(check int) "no messages" 0 r.messages)
     domain_counts
 
 let test_more_domains_than_vertices () =
   (* shards are clamped to the order; empty shards would divide by
      zero in the range arithmetic if unclamped *)
-  let r =
-    Sharded_engine.run ~domains:16 (Gen.path 3) ~advice:no_advice
-      (countdown 2)
-  in
-  Alcotest.(check int) "rounds" 2 r.Engine.rounds
+  let r = Exec.run (sharded 16) (Gen.path 3) ~advice:no_advice (countdown 2) in
+  Alcotest.(check int) "rounds" 2 r.rounds
 
 let test_nontermination () =
   let never =
@@ -215,8 +209,9 @@ let test_nontermination () =
   List.iter
     (fun domains ->
       match
-        Sharded_engine.run ~domains ~max_rounds:5 (Gen.path 3)
-          ~advice:no_advice never
+        Exec.run
+          { (sharded domains) with max_rounds = Some 5 }
+          (Gen.path 3) ~advice:no_advice never
       with
       | _ -> Alcotest.fail "expected Did_not_terminate"
       | exception Engine.Did_not_terminate 5 -> ())
@@ -229,22 +224,15 @@ let prop_random_graph_equiv =
       quad (int_bound 10_000) (int_range 2 24) (int_bound 8) (int_range 1 4))
     (fun (seed, n, extra, domains) ->
       let g = Gen.random (Random.State.make [| seed |]) n ~extra_edges:extra in
-      let run engine =
+      let run exec =
         let events = ref [] in
-        let (r : _ Engine.result) =
-          engine ~tracer:(fun e -> events := e :: !events)
+        let r =
+          Exec.run ~tracer:(fun e -> events := e :: !events) exec g
+            ~advice:no_advice (countdown 3)
         in
-        (r.Engine.outputs, r.Engine.rounds, r.Engine.messages, !events)
+        (r, !events)
       in
-      let seq =
-        run (fun ~tracer -> Engine.run ~tracer g ~advice:no_advice (countdown 3))
-      in
-      let sh =
-        run (fun ~tracer ->
-            Sharded_engine.run ~domains ~tracer g ~advice:no_advice
-              (countdown 3))
-      in
-      seq = sh)
+      run Exec.default = run (sharded domains))
 
 (* --- full runs of the paper's schemes, sequential vs sharded --- *)
 
@@ -260,13 +248,15 @@ let scheme_equiv name scheme g =
   List.iter
     (fun domains ->
       let sh, sh_events =
-        capture (fun ~tracer -> Scheme.run_sharded ~domains ~tracer scheme g)
+        capture (fun ~tracer -> Scheme.run ~exec:(sharded domains) ~tracer scheme g)
       in
       let tag fmt = Printf.sprintf "%s (domains=%d): %s" name domains fmt in
       Alcotest.(check bool)
         (tag "outputs") true
         (seq.Scheme.outputs = sh.Scheme.outputs);
       Alcotest.(check int) (tag "rounds") seq.Scheme.rounds sh.Scheme.rounds;
+      Alcotest.(check int)
+        (tag "messages") seq.Scheme.messages sh.Scheme.messages;
       Alcotest.(check int)
         (tag "advice bits") seq.Scheme.advice_bits sh.Scheme.advice_bits;
       Alcotest.(check bool)
@@ -301,7 +291,7 @@ let test_jclass_equiv () =
   let t = Jclass.build p ~y:(Jclass.y_zero p) in
   scheme_equiv "j mu=3 k=4" (Jclass.cppe_scheme t) t.Jclass.graph
 
-(* --- sweep jobs under the Sharded strategy --- *)
+(* --- sweep jobs under the Sharded timing --- *)
 
 let test_sweep_strategy_records_identical () =
   (* The whole tiny grid, sequential vs sharded at several domain
@@ -319,9 +309,7 @@ let test_sweep_strategy_records_identical () =
       let sh =
         stripped
           (Sweep.run ~domains:1
-             (Sweep.tiny_jobs
-                ~strategy:(Sweep.Sharded { domains = Some domains })
-                ()))
+             (Sweep.tiny_jobs ~exec:(sharded domains) ()))
       in
       Alcotest.(check bool)
         (Printf.sprintf "tiny grid records equal (domains=%d)" domains)

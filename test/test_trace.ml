@@ -110,9 +110,8 @@ let test_recorder_ring () =
 let capture ?(label = "test") scheme g engine =
   let r = Trace.recorder () in
   let tracer = Trace.emit r in
-  (match engine with
-  | Trace.Sync -> ignore (Scheme.run ~tracer scheme g)
-  | Trace.Async { seed } -> ignore (Scheme.run_async ~seed ~tracer scheme g));
+  let exec = Shades_localsim.Exec.of_trace_engine engine in
+  ignore (Scheme.run ~exec ~tracer scheme g);
   Trace.capture r
     {
       Trace.engine;
@@ -223,7 +222,8 @@ let test_replay_clean () =
   Alcotest.(check bool)
     "same-seed async re-run reproduces the trace verbatim" true
     (Replay.run async (fun tracer ->
-         ignore (Scheme.run_async ~seed:2 ~tracer Select_by_view.scheme g))
+         let exec = Shades_localsim.Exec.of_trace_engine (Trace.Async { seed = 2 }) in
+         ignore (Scheme.run ~exec ~tracer Select_by_view.scheme g))
     = Ok ())
 
 let test_replay_detects_mutation () =
@@ -309,16 +309,17 @@ let test_engine_tracer_direct () =
   let g = Gen.oriented_ring 4 in
   let r = Trace.recorder () in
   let result =
-    Engine.run ~tracer:(Trace.emit r) g ~advice:no_advice (countdown 2)
+    Exec.run ~tracer:(Trace.emit r) Exec.default g ~advice:no_advice
+      (countdown 2)
   in
   let t =
     Trace.capture r
       { Trace.engine = Trace.Sync; graph_order = 4; advice_bits = 0; label = "" }
   in
   let s = Trace.stats t in
-  Alcotest.(check int) "sends = engine messages" result.Engine.messages
+  Alcotest.(check int) "sends = engine messages" result.Exec.messages
     s.Trace.sends;
-  Alcotest.(check int) "rounds traced" result.Engine.rounds s.Trace.rounds;
+  Alcotest.(check int) "rounds traced" result.Exec.rounds s.Trace.rounds;
   (* default msg_size is 0 *)
   Alcotest.(check int) "sizes default to 0" 0 s.Trace.send_size_total;
   (* emission prefix: advice reads first, then round 1 *)
