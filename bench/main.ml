@@ -238,6 +238,47 @@ let bench_extensions =
              Gen.all_labelings 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ]));
     ]
 
+(* --- the daemon's disk tier: one budgeted write --- *)
+
+(* A budgeted tier held at its budget by 750 files of 64 bytes, so every
+   put of a fresh key writes one file and evicts the oldest.  The tier is
+   built before the measurement starts and removed after it. *)
+let bench_server =
+  let module Cache = Shades_server.Cache in
+  let files = 750 and value = String.make 64 'x' in
+  let key i = Printf.sprintf "k%09d" i in
+  let allocate () =
+    let dir = Filename.temp_dir "shades-bench-cache" "" in
+    let persist =
+      {
+        Cache.dir;
+        encode = Fun.id;
+        decode = Result.ok;
+        max_bytes = Some (files * String.length value);
+      }
+    in
+    let c =
+      Cache.create ~persist ~capacity:1
+        ~metrics:(Shades_runtime.Metrics.create ()) ()
+    in
+    for i = 0 to files - 1 do
+      Cache.put c (key i) value
+    done;
+    (dir, c, ref files)
+  in
+  let free (dir, _, _) =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Test.make_grouped ~name:"server"
+    [
+      Test.make_with_resource ~name:"cache_budgeted_put_n750" Test.uniq
+        ~allocate ~free
+        (stage (fun (_, c, next) ->
+             Cache.put c (key !next) value;
+             incr next));
+    ]
+
 (* --- E30: labeled baselines --- *)
 
 let bench_labeled =
@@ -263,6 +304,7 @@ let all_tests =
     [
       bench_index; bench_views; bench_gclass; bench_uclass; bench_jclass;
       bench_fooling; bench_sim; bench_engine; bench_extensions; bench_labeled;
+      bench_server;
     ]
 
 (* --- measurement: per-kernel figures over the raw samples ---

@@ -8,10 +8,36 @@ module Metrics = Shades_runtime.Metrics
 
    Behind the memory tier sits an optional *disk tier*: one file per
    key under [persist.dir], written atomically (temp file in the same
-   directory, then [Unix.rename]), never evicted.  The memory LRU is a
-   recency front; the disk store is the content-addressed ground truth
-   that survives restarts.  All disk I/O happens outside the mutex —
-   only the memory structures need it. *)
+   directory, then [Unix.rename]).  The memory LRU is a recency front;
+   the disk store is the content-addressed ground truth that survives
+   restarts.  All disk I/O happens outside the LRU mutex — only the
+   memory structures need it.  A budgeted tier ([persist.max_bytes])
+   also keeps a size ledger under its own mutex, so budget enforcement
+   costs one [stat] per write instead of a scan of the directory. *)
+
+(* Age order of the budget: oldest mtime first, the name breaking ties
+   deterministically. *)
+module Aged = Set.Make (struct
+  type t = float * string
+
+  let compare (ma, na) (mb, nb) =
+    match Float.compare ma mb with 0 -> String.compare na nb | c -> c
+end)
+
+(* What a budgeted tier's directory holds, as far as this process
+   knows: every entry file with its mtime and size, the same files in
+   age order, and their byte total.  Sibling writers are folded in by a
+   full rescan once this process has written [budget] bytes since the
+   last one. *)
+type ledger = {
+  lock : Mutex.t;
+  dir : string;
+  budget : int;
+  files : (string, float * int) Hashtbl.t;  (** name -> (mtime, size) *)
+  mutable by_age : Aged.t;
+  mutable total : int;
+  mutable since_scan : int;  (** bytes written since the last rescan *)
+}
 
 type 'a persist = {
   dir : string;
@@ -38,6 +64,7 @@ type 'a t = {
   mutable entries : int;
   persist : 'a persist option;
   tmp_seq : int Atomic.t;  (** uniquifies concurrent temp-file names *)
+  ledger : ledger option;  (** [Some] iff [persist.max_bytes] is set *)
 }
 
 let counter t what = t.name ^ "_" ^ what
@@ -69,22 +96,162 @@ let rec mkdir_p dir =
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* --- the disk tier's budget ledger --- *)
+
+(* in-flight temp files of this or a sibling daemon: never evict them
+   (a concurrent rename would fail), never count them (transient) *)
+let is_tmp name =
+  let rec has_sub i =
+    i + 5 <= String.length name
+    && (String.sub name i 5 = ".tmp." || has_sub (i + 1))
+  in
+  has_sub 0
+
+(* A temp file "<file>.tmp.<pid>.<seq>" whose writer is gone: not this
+   process, and [kill pid 0] says no such process.  A live writer (or
+   one we may not signal) keeps its file. *)
+let orphaned name =
+  match List.rev (String.split_on_char '.' name) with
+  | seq :: pid :: "tmp" :: _ :: _ -> (
+      match (int_of_string_opt pid, int_of_string_opt seq) with
+      | Some pid, Some _ when pid > 0 && pid <> Unix.getpid () -> (
+          match Unix.kill pid 0 with
+          | () -> false
+          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+          | exception Unix.Unix_error _ -> false)
+      | _ -> false)
+  | _ -> false
+
+(* Every entry file of the tier as (name, mtime, size), removing the
+   temp files of dead writers on the way ([<name>_disk_orphans]).
+   Best-effort throughout: a file another daemon already evicted, or a
+   stat that races a rename, is skipped, not an error. *)
+let scan t dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | names ->
+      List.filter_map
+        (fun name ->
+          let path = Filename.concat dir name in
+          if is_tmp name then begin
+            (if orphaned name then
+               match Unix.unlink path with
+               | () -> Metrics.incr t.metrics (counter t "disk_orphans")
+               | exception Unix.Unix_error _ -> ());
+            None
+          end
+          else
+            match Unix.stat path with
+            | exception Unix.Unix_error _ -> None
+            | st when st.Unix.st_kind = Unix.S_REG ->
+                Some (name, st.Unix.st_mtime, st.Unix.st_size)
+            | _ -> None)
+        (Array.to_list names)
+
+(* ledger surgery; all callers hold [l.lock] *)
+
+let forget l name =
+  match Hashtbl.find_opt l.files name with
+  | Some (mtime, size) ->
+      Hashtbl.remove l.files name;
+      l.by_age <- Aged.remove (mtime, name) l.by_age;
+      l.total <- l.total - size
+  | None -> ()
+
+(* an overwrite replaces the old size, never adds to it *)
+let record l name ~mtime ~size =
+  forget l name;
+  Hashtbl.replace l.files name (mtime, size);
+  l.by_age <- Aged.add (mtime, name) l.by_age;
+  l.total <- l.total + size
+
+let reseed t l =
+  Hashtbl.reset l.files;
+  l.by_age <- Aged.empty;
+  l.total <- 0;
+  l.since_scan <- 0;
+  List.iter
+    (fun (name, mtime, size) -> record l name ~mtime ~size)
+    (scan t l.dir)
+
+(* While over budget, delete files oldest-first, never [keep] (the file
+   just written).  A victim already gone (a sibling evicted it) leaves
+   the ledger with its bytes but is not an eviction of ours; any other
+   failure leaves it in place for a later write to retry. *)
+let evict t l ~keep =
+  let rec go victims =
+    if l.total > l.budget then
+      match victims () with
+      | Seq.Nil -> ()
+      | Seq.Cons ((_, name), rest) ->
+          (if name <> keep then
+             match Unix.unlink (Filename.concat l.dir name) with
+             | () ->
+                 forget l name;
+                 Metrics.incr t.metrics (counter t "disk_evictions")
+             | exception Unix.Unix_error (Unix.ENOENT, _, _) -> forget l name
+             | exception Unix.Unix_error _ -> ());
+          go rest
+  in
+  go (Aged.to_seq l.by_age)
+
+let set_disk_bytes t l =
+  Metrics.set_gauge t.metrics (counter t "disk_bytes") (float_of_int l.total)
+
+(* Fold one successful write into the ledger: stat the file just
+   renamed into place, rescan once [budget] bytes were written since the
+   last scan (the siblings' share of the directory), then trim. *)
+let account t l name =
+  Mutex.protect l.lock (fun () ->
+      (match Unix.stat (Filename.concat l.dir name) with
+      | st ->
+          record l name ~mtime:st.Unix.st_mtime ~size:st.Unix.st_size;
+          l.since_scan <- l.since_scan + st.Unix.st_size
+      | exception Unix.Unix_error _ -> forget l name);
+      if l.since_scan >= l.budget then reseed t l;
+      evict t l ~keep:name;
+      set_disk_bytes t l)
+
 let create ?(name = "cache") ?persist ~capacity ~metrics () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   Option.iter (fun p -> mkdir_p p.dir) persist;
   Metrics.set_gauge metrics (name ^ "_capacity") (float_of_int capacity);
-  {
-    mutex = Mutex.create ();
-    table = Hashtbl.create (2 * capacity);
-    first = None;
-    last = None;
-    capacity;
-    metrics;
-    name;
-    entries = 0;
-    persist;
-    tmp_seq = Atomic.make 0;
-  }
+  let ledger =
+    match persist with
+    | Some { dir; max_bytes = Some budget; _ } ->
+        Some
+          {
+            lock = Mutex.create ();
+            dir;
+            budget;
+            files = Hashtbl.create 64;
+            by_age = Aged.empty;
+            total = 0;
+            since_scan = 0;
+          }
+    | _ -> None
+  in
+  let t =
+    {
+      mutex = Mutex.create ();
+      table = Hashtbl.create (2 * capacity);
+      first = None;
+      last = None;
+      capacity;
+      metrics;
+      name;
+      entries = 0;
+      persist;
+      tmp_seq = Atomic.make 0;
+      ledger;
+    }
+  in
+  Option.iter
+    (fun l ->
+      reseed t l;
+      set_disk_bytes t l)
+    ledger;
+  t
 
 let capacity t = t.capacity
 let persistent t = Option.is_some t.persist
@@ -137,61 +304,7 @@ let put_memory t key value =
       t.entries <- t.entries + 1;
       Metrics.set_gauge t.metrics (counter t "entries") (float_of_int t.entries))
 
-(* --- disk tier; all I/O outside the mutex --- *)
-
-(* in-flight temp files of this or a sibling daemon: never evict them
-   (a concurrent rename would fail), never count them (transient) *)
-let is_tmp name =
-  let rec has_sub i =
-    i + 5 <= String.length name
-    && (String.sub name i 5 = ".tmp." || has_sub (i + 1))
-  in
-  has_sub 0
-
-(* Trim the tier directory to [budget] bytes by deleting files in
-   oldest-mtime order ((mtime, name) — the name breaks ties
-   deterministically), never the file just written.  Best-effort
-   throughout: a file another daemon already evicted, or a stat that
-   races a rename, is skipped, not an error. *)
-let enforce_budget t p ~keep budget =
-  match Sys.readdir p.dir with
-  | exception Sys_error _ -> ()
-  | names ->
-      let files =
-        List.filter_map
-          (fun name ->
-            if is_tmp name then None
-            else
-              let path = Filename.concat p.dir name in
-              match Unix.stat path with
-              | exception Unix.Unix_error _ -> None
-              | st when st.Unix.st_kind = Unix.S_REG ->
-                  Some (st.Unix.st_mtime, name, st.Unix.st_size)
-              | _ -> None)
-          (Array.to_list names)
-      in
-      let total =
-        List.fold_left (fun acc (_, _, size) -> acc + size) 0 files
-      in
-      let oldest_first =
-        List.sort
-          (fun (ma, na, _) (mb, nb, _) ->
-            match Float.compare ma mb with
-            | 0 -> String.compare na nb
-            | c -> c)
-          files
-      in
-      ignore
-        (List.fold_left
-           (fun remaining (_, name, size) ->
-             if remaining <= budget || name = keep then remaining
-             else
-               match Sys.remove (Filename.concat p.dir name) with
-               | () ->
-                   Metrics.incr t.metrics (counter t "disk_evictions");
-                   remaining - size
-               | exception Sys_error _ -> remaining)
-           total oldest_first)
+(* --- disk tier I/O; all of it outside the LRU mutex --- *)
 
 let disk_write t p key value =
   let name = file_of_key key in
@@ -208,7 +321,7 @@ let disk_write t p key value =
   with
   | () ->
       Metrics.incr t.metrics (counter t "disk_writes");
-      Option.iter (enforce_budget t p ~keep:name) p.max_bytes
+      Option.iter (fun l -> account t l name) t.ledger
   | exception Sys_error _ | exception Unix.Unix_error _ ->
       (* a full or read-only disk degrades to a memory-only cache *)
       (try Sys.remove tmp with Sys_error _ -> ());

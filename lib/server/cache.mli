@@ -13,8 +13,9 @@
     writes through to one file per key under [persist.dir]
     (write-then-rename, so readers never observe a torn write), and a
     memory miss falls back to reading — and re-promoting — the file.
-    The disk tier is never evicted and survives process restarts;
-    eviction only trims the memory front.  Because keys are content
+    The disk tier survives process restarts; memory eviction only trims
+    the memory front, and the disk tier shrinks only under a
+    [persist.max_bytes] budget.  Because keys are content
     addresses (a value is a pure function of its key), a directory can
     safely be shared by successive daemon runs: whatever is found there
     is as good as freshly computed.
@@ -33,9 +34,12 @@
     (unreadable or corrupt files tolerated as misses),
     [<name>_disk_errors] (failed writes — the cache degrades to
     memory-only), [<name>_disk_evictions] (files deleted to keep the
-    tier under its [max_bytes] budget), all counters; [<name>_entries]
-    and [<name>_capacity] are gauges.  These are the numbers the
-    [stats] endpoint and [GET /metrics] report. *)
+    tier under its [max_bytes] budget), [<name>_disk_orphans] (temp
+    files of dead writers removed by a budgeted tier's directory scan),
+    all counters; [<name>_entries], [<name>_capacity] and, for a
+    budgeted tier, [<name>_disk_bytes] (the ledger's byte total) are
+    gauges.  These are the numbers the [stats] endpoint and
+    [GET /metrics] report. *)
 
 type 'a persist = {
   dir : string;  (** created (with parents) if missing *)
@@ -50,14 +54,26 @@ type 'a persist = {
     serialize, and (optionally) how large the tier may grow.
     [decode (encode v)] must be [Ok v].
 
-    With [max_bytes] set, every successful write re-checks the
-    directory and deletes entry files in oldest-[mtime] order (file
-    name breaks ties) until the tier fits the budget again — the file
-    just written is never deleted, and in-flight temp files are
-    neither counted nor touched.  Each deletion bumps
-    [<name>_disk_evictions].  An evicted entry simply becomes a future
-    miss to recompute: keys are content addresses, so nothing is
-    lost but time. *)
+    With [max_bytes] set, the cache keeps a {e size ledger} of the
+    directory: every entry file's mtime and size, in age order, and
+    their byte total.  {!create} seeds it with one scan of [dir]; that
+    scan, like every rescan below, also removes temp files whose writer
+    process is dead ([<name>_disk_orphans]).  After that, a successful write [stat]s
+    only the file it just renamed into place (an overwrite replaces the
+    old size) and, while the total is over budget, deletes entry files
+    in oldest-[mtime] order (file name breaks ties) — never the file
+    just written, and never a temp file, which is neither counted nor
+    touched.  Each deletion bumps [<name>_disk_evictions]; a victim
+    that is already gone leaves the ledger without counting.  The cost
+    per write is one [stat] and O(log n) ledger work, not a scan of the
+    directory.
+
+    Other processes sharing [dir] are folded in by a full rescan after
+    every [max_bytes] bytes this process has written since its last
+    scan, so the directory holds at most [max_bytes] plus what siblings
+    wrote since this process's last rescan.  An evicted entry simply
+    becomes a future miss to recompute: keys are content addresses, so
+    nothing is lost but time. *)
 
 type 'a t
 
@@ -72,7 +88,9 @@ val create :
     raises [Invalid_argument] otherwise).  [name] (default ["cache"])
     prefixes the metric names.  With [persist], the disk tier under
     [persist.dir] is attached — pre-existing files there are live
-    entries (that is the restart-warm path). *)
+    entries (that is the restart-warm path); with [persist.max_bytes]
+    as well, the directory is scanned once to seed the size ledger,
+    without evicting anything until the next write. *)
 
 val capacity : 'a t -> int
 

@@ -29,6 +29,14 @@ let help_of_name name =
       ("shades_advice_cache_disk_writes_total", "Advice-cache disk-tier writes.");
       ("shades_advice_cache_disk_invalid_total",
        "Advice-cache disk files unreadable or corrupt (served as misses).");
+      ("shades_advice_cache_disk_errors_total",
+       "Advice-cache disk writes that failed (entry kept in memory only).");
+      ("shades_advice_cache_disk_evictions_total",
+       "Advice-cache files deleted to keep the tier within --cache-max-bytes.");
+      ("shades_advice_cache_disk_orphans_total",
+       "Advice-cache temp files of dead writers removed by a directory scan.");
+      ("shades_advice_cache_disk_bytes",
+       "Advice-cache tier bytes on disk, as the budget ledger counts them.");
       ("shades_advice_cache_entries", "Advice-cache memory entries.");
       ("shades_advice_cache_capacity", "Advice-cache memory capacity.");
       ("shades_result_cache_hits_total", "Result-cache memory hits.");
@@ -38,6 +46,14 @@ let help_of_name name =
       ("shades_result_cache_disk_writes_total", "Result-cache disk-tier writes.");
       ("shades_result_cache_disk_invalid_total",
        "Result-cache disk files unreadable or corrupt (served as misses).");
+      ("shades_result_cache_disk_errors_total",
+       "Result-cache disk writes that failed (entry kept in memory only).");
+      ("shades_result_cache_disk_evictions_total",
+       "Result-cache files deleted to keep the tier within --cache-max-bytes.");
+      ("shades_result_cache_disk_orphans_total",
+       "Result-cache temp files of dead writers removed by a directory scan.");
+      ("shades_result_cache_disk_bytes",
+       "Result-cache tier bytes on disk, as the budget ledger counts them.");
       ("shades_result_cache_entries", "Result-cache memory entries.");
       ("shades_result_cache_capacity", "Result-cache memory capacity.");
       ("shades_memo_hits_total", "Encoding-digest memo hits.");

@@ -6,7 +6,9 @@
 # and scrape the HTTP plane (/healthz, /metrics) with curl.  The
 # daemon's final metrics snapshot is written to SERVE_METRICS (and the
 # Prometheus scrape to SERVE_PROM) so CI can upload both as artifacts
-# when the smoke test fails.
+# when the smoke test fails.  A last leg restarts the daemon with a
+# --cache-max-bytes budget below the advice tier's size and asserts that
+# fresh writes evict the tier back under it.
 #
 # Expects the tree to be built already (run `dune build @all` first, or
 # go through `make serve-smoke`); the binary is invoked directly so no
@@ -51,12 +53,15 @@ trap cleanup EXIT
 trap 'cleanup; exit 130' INT
 trap 'cleanup; exit 143' TERM HUP
 
+# start_daemon METRICS_OUT [SERVE_ARGS...]
 start_daemon() {
+    metrics_out=$1
+    shift
     rm -f "$SERVE_SOCKET" "$SERVE_HTTP_SOCKET"
     "$CLI" serve --listen "unix:$SERVE_SOCKET" \
         --http "unix:$SERVE_HTTP_SOCKET" \
         --cache-dir "$WORK/cache" \
-        --metrics-out "$1" -q &
+        --metrics-out "$metrics_out" -q "$@" &
     SERVE_PID=$!
     # Readiness: the daemon is up when it answers a request, and only
     # then.  Bounded poll (~10s) with a liveness check each lap so a
@@ -192,5 +197,32 @@ for c in advise_computes elect_computes; do
     fi
 done
 stop_daemon
+
+# budget leg: restart with a byte budget below the advice tier's size;
+# fresh advises must evict oldest files until the tier fits again
+ADVICE_DIR="$WORK/cache/advice"
+tier_bytes() {
+    find "$ADVICE_DIR" -type f ! -name '*.tmp.*' -exec cat {} + | wc -c
+}
+budget=$(( $(tier_bytes) / 2 ))
+start_daemon "$WORK/metrics-budget.json" --cache-max-bytes "$budget"
+for n in 7 8 9; do
+    client advise -g "path:$n" -t pe > /dev/null || fail "budget advise path:$n"
+done
+client stats > "$WORK/stats-budget.json" || fail "budget stats"
+stop_daemon
+evictions=$(sed -n \
+    's/.*"advice_cache_disk_evictions":{"kind":"counter","value":\([0-9]*\)}.*/\1/p' \
+    "$WORK/stats-budget.json")
+[ "${evictions:-0}" -gt 0 ] \
+    || { cp "$WORK/stats-budget.json" \
+             "${SERVE_METRICS%.json}.stats-on-fail.json" 2>/dev/null || true; \
+         fail "budget of $budget bytes evicted nothing"; }
+bytes=$(tier_bytes)
+files=$(find "$ADVICE_DIR" -type f ! -name '*.tmp.*' | wc -l)
+[ "$bytes" -le "$budget" ] || [ "$files" -eq 1 ] \
+    || fail "advice tier holds $bytes bytes in $files files, budget $budget"
+[ -z "$(find "$WORK/cache" -name '*.tmp.*')" ] \
+    || fail "temp files left behind under the budget"
 
 echo "serve-smoke: PASS (metrics: $SERVE_METRICS, prom: $SERVE_PROM)"

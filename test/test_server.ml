@@ -337,6 +337,178 @@ let test_cache_disk_budget () =
       Alcotest.(check (option int)) "b is a disk hit" (Some 2)
         (Cache.find c2 "b"))
 
+let gauge m name =
+  match List.assoc_opt name (Metrics.snapshot m) with
+  | Some (Metrics.Gauge g) -> Some g
+  | _ -> None
+
+let budgeted ~name ~max_bytes dir m =
+  Cache.create ~name ~persist:(int_persist ~max_bytes dir) ~capacity:8
+    ~metrics:m ()
+
+(* the budget's ledger tracks the directory across writes: an
+   overwrite replaces its size instead of adding, and a file deleted
+   behind the cache's back frees its bytes without costing an
+   eviction.  The four files predate the cache, with distinct mtimes,
+   so the startup scan counts them and no rescan falls in the window. *)
+let test_cache_ledger_drift () =
+  let dir = fresh_dir "shades-cache" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let seed =
+        Cache.create ~name:"s" ~persist:(int_persist dir) ~capacity:8
+          ~metrics:(Metrics.create ()) ()
+      in
+      let now = Unix.gettimeofday () in
+      List.iteri
+        (fun i key ->
+          Cache.put seed key i;
+          let age = now -. float_of_int (100 - (20 * i)) in
+          Unix.utimes (Filename.concat dir key) age age)
+        [ "a"; "b"; "c"; "d" ];
+      let m = Metrics.create () in
+      let c = budgeted ~name:"p" ~max_bytes:4 dir m in
+      Alcotest.(check (option (float 0.))) "the scan counts four bytes"
+        (Some 4.) (gauge m "p_disk_bytes");
+      Cache.put c "d" 5;
+      Alcotest.(check int) "an overwrite is not double-counted" 0
+        (counter m "p_disk_evictions");
+      Alcotest.(check (option (float 0.))) "still four bytes" (Some 4.)
+        (gauge m "p_disk_bytes");
+      Sys.remove (Filename.concat dir "a");
+      Cache.put c "e" 6;
+      Alcotest.(check int) "a vanished file is freed, not evicted" 0
+        (counter m "p_disk_evictions");
+      Alcotest.(check (list string)) "nothing else was deleted"
+        [ "b"; "c"; "d"; "e" ]
+        (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+      Alcotest.(check (option (float 0.))) "the ledger agrees with the dir"
+        (Some 4.) (gauge m "p_disk_bytes"))
+
+(* the ledger decides exactly as a full scan of the directory would:
+   before each put the directory is listed, the written file's new
+   stat is folded in, and the scan's policy (oldest (mtime, name)
+   first, never the file just written, until the tier fits) names the
+   victims, which must be exactly the files that disappear.  Random
+   keys overwrite often and the small budget forces frequent rescans. *)
+let test_cache_ledger_matches_scan () =
+  let dir = fresh_dir "shades-cache" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let budget = 12 in
+      let m = Metrics.create () in
+      let c = budgeted ~name:"p" ~max_bytes:budget dir m in
+      let stat f =
+        let st = Unix.stat (Filename.concat dir f) in
+        (st.Unix.st_mtime, f, st.Unix.st_size)
+      in
+      let listing () = List.map stat (Array.to_list (Sys.readdir dir)) in
+      let rng = Random.State.make [| 13 |] in
+      for step = 1 to 300 do
+        let key = Printf.sprintf "k%02d" (Random.State.int rng 30) in
+        let before = listing () in
+        let evictions = counter m "p_disk_evictions" in
+        Cache.put c key (Random.State.int rng 10_000);
+        let files =
+          stat key :: List.filter (fun (_, f, _) -> f <> key) before
+          |> List.sort compare
+        in
+        let total = List.fold_left (fun acc (_, _, s) -> acc + s) 0 files in
+        let _, victims =
+          List.fold_left
+            (fun (total, victims) (_, f, s) ->
+              if total <= budget || f = key then (total, victims)
+              else (total - s, f :: victims))
+            (total, []) files
+        in
+        let expected =
+          List.filter_map
+            (fun (_, f, _) -> if List.mem f victims then None else Some f)
+            files
+          |> List.sort String.compare
+        in
+        let actual = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+        Alcotest.(check (list string))
+          (Printf.sprintf "step %d: the scan's survivors" step)
+          expected actual;
+        Alcotest.(check int)
+          (Printf.sprintf "step %d: one eviction per victim" step)
+          (List.length victims)
+          (counter m "p_disk_evictions" - evictions)
+      done)
+
+(* two budgeted caches on one directory stand in for two daemons: the
+   second one's rescans fold the first one's files into its ledger, so
+   the directory ends within budget with the oldest files gone first *)
+let test_cache_ledger_siblings () =
+  let dir = fresh_dir "shades-cache" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let budget = 10 in
+      let a = budgeted ~name:"a" ~max_bytes:budget dir (Metrics.create ()) in
+      let mb = Metrics.create () in
+      let b = budgeted ~name:"b" ~max_bytes:budget dir mb in
+      for i = 0 to budget - 1 do
+        Cache.put a (Printf.sprintf "a%02d" i) (i mod 10)
+      done;
+      for i = 0 to (2 * budget) - 1 do
+        Cache.put b (Printf.sprintf "b%02d" i) (i mod 10)
+      done;
+      let names = Sys.readdir dir in
+      Array.sort String.compare names;
+      let bytes =
+        Array.fold_left
+          (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
+          0 names
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "directory within budget (%d bytes)" bytes)
+        true (bytes <= budget);
+      Alcotest.(check (list string)) "the newest of b's files survive"
+        (List.init budget (fun i -> Printf.sprintf "b%02d" (budget + i)))
+        (Array.to_list names);
+      Alcotest.(check int) "b evicted a's files, then its own oldest"
+        (2 * budget) (counter mb "b_disk_evictions"))
+
+(* a temp file whose writer is dead is swept at startup; those of live
+   writers (this process and its parent) are left alone *)
+let test_cache_orphan_sweep () =
+  let dir = fresh_dir "shades-cache" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Unix.mkdir dir 0o755;
+      let reaped =
+        let pid =
+          Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
+            Unix.stderr
+        in
+        ignore (Unix.waitpid [] pid);
+        pid
+      in
+      let orphan = Printf.sprintf "k.tmp.%d.0" reaped in
+      let live = Printf.sprintf "k.tmp.%d.0" (Unix.getpid ()) in
+      let parent = Printf.sprintf "k.tmp.%d.0" (Unix.getppid ()) in
+      List.iter
+        (fun f ->
+          Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+              output_string oc "1"))
+        [ orphan; live; parent ];
+      let m = Metrics.create () in
+      ignore (budgeted ~name:"p" ~max_bytes:2 dir m);
+      Alcotest.(check bool) "the dead writer's temp file is gone" false
+        (Sys.file_exists (Filename.concat dir orphan));
+      Alcotest.(check bool) "this process's temp file stays" true
+        (Sys.file_exists (Filename.concat dir live));
+      Alcotest.(check bool) "another live process's temp file stays" true
+        (Sys.file_exists (Filename.concat dir parent));
+      Alcotest.(check int) "one orphan counted" 1 (counter m "p_disk_orphans");
+      Alcotest.(check (option (float 0.))) "temp files are never counted"
+        (Some 0.) (gauge m "p_disk_bytes"))
+
 (* The stampeding half of the shared --cache-dir test below: the test
    re-executes this binary with SHADES_CACHE_CHILD set (Unix.fork is
    off the table once any test has spawned a domain), and this loop
@@ -920,7 +1092,24 @@ let test_http_render () =
     ];
   Alcotest.(check (option (float 0.)))
     "hit counted by the second scrape" (Some 2.)
-    (prom_value text2 "shades_advice_cache_hits_total")
+    (prom_value text2 "shades_advice_cache_hits_total");
+  (* a budgeted disk tier exports its ledger total, with its own help *)
+  let dir = fresh_dir "shades-http" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let s = Service.create ~cache_dir:dir ~cache_max_bytes:1_000_000 () in
+      ignore (handle_ok s (advise_req "gclass:3,1,2"));
+      let text = Http.render_metrics s in
+      Alcotest.(check bool) "disk_bytes has its own help line" true
+        (List.mem
+           "# HELP shades_advice_cache_disk_bytes Advice-cache tier bytes on \
+            disk, as the budget ledger counts them."
+           (String.split_on_char '\n' text));
+      Alcotest.(check bool) "the advice tier holds bytes" true
+        (match prom_value text "shades_advice_cache_disk_bytes" with
+        | Some b -> b > 0.
+        | None -> false))
 
 let http_get path sock_path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1126,6 +1315,11 @@ let () =
           Alcotest.test_case "corrupt files" `Quick test_cache_corrupt_files;
           Alcotest.test_case "disk budget" `Quick test_cache_disk_budget;
           Alcotest.test_case "shared cache dir" `Quick test_cache_shared_dir;
+          Alcotest.test_case "ledger drift" `Quick test_cache_ledger_drift;
+          Alcotest.test_case "ledger matches a scan" `Quick
+            test_cache_ledger_matches_scan;
+          Alcotest.test_case "ledger siblings" `Quick test_cache_ledger_siblings;
+          Alcotest.test_case "orphan sweep" `Quick test_cache_orphan_sweep;
         ] );
       ( "service",
         [
