@@ -16,15 +16,28 @@ open Shades_views
 open Shades_election
 open Shades_families
 
-(* The spec grammar lives in the server library so the CLI and the
-   daemon's wire protocol accept exactly the same strings. *)
-let parse_graph = Shades_server.Spec.parse_exn
+(* The spec grammars (graphs, tasks, engines, trace labels) live in the
+   server library so the CLI and the daemon's wire protocol accept
+   exactly the same strings. *)
+module Spec = Shades_server.Spec
+
+let parse_graph = Spec.parse_exn
 
 let graph_arg =
   Arg.(
     required
     & opt (some string) None
     & info [ "g"; "graph" ] ~docv:"SPEC" ~doc:"Graph to operate on.")
+
+let task_arg =
+  let task_conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Spec.task_of_string s)),
+        fun fmt k -> Format.pp_print_string fmt (Task.kind_to_string k) )
+  in
+  Arg.(
+    value & opt task_conv Task.S
+    & info [ "t"; "task" ] ~docv:"TASK" ~doc:"One of s, pe, ppe, cppe.")
 
 let pp_psi = function Some k -> string_of_int k | None -> "infinite"
 
@@ -34,30 +47,31 @@ let pp_psi = function Some k -> string_of_int k | None -> "infinite"
    identical to the sequential engine for every domain count, so these
    flags never change what a command measures — only how fast. *)
 
-let exec_of_flags ~engine ~domains =
-  let module Exec = Shades_localsim.Exec in
-  match String.lowercase_ascii engine with
-  | "sequential" | "seq" -> Exec.default
-  | "sharded" -> { Exec.default with timing = Sharded domains }
-  | e -> failwith ("unknown engine: " ^ e ^ " (expected sequential or sharded)")
-
-let engine_flag_arg =
-  Arg.(
-    value & opt string "sequential"
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine for synchronous runs: $(b,sequential), or \
-           $(b,sharded) — the vertex-sharded parallel engine, which \
-           produces identical outputs, telemetry and traces on any \
-           domain count.")
-
-let engine_domains_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "engine-domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for $(b,--engine sharded) (default: recommended \
-           domain count minus one).")
+let exec_arg ~domains_flag =
+  let engine =
+    Arg.(
+      value & opt string "sync"
+      & info [ "engine" ] ~docv:"ENGINE"
+          ~doc:
+            "Execution engine for synchronous runs, named as in the \
+             daemon's requests: $(b,sync) (also $(b,sequential)), or \
+             $(b,sharded) — the vertex-sharded parallel engine, which \
+             produces identical outputs, telemetry and traces on any \
+             domain count.")
+  and domains =
+    Arg.(
+      value & opt (some int) None
+      & info [ domains_flag ] ~docv:"N"
+          ~doc:
+            "Worker domains for $(b,--engine sharded) (default: recommended \
+             domain count minus one).")
+  in
+  let exec engine domains =
+    match Spec.engine ?domains engine with
+    | Ok e -> e.Spec.exec
+    | Error e -> failwith e
+  in
+  Term.(const exec $ engine $ domains)
 
 (* --- index --- *)
 
@@ -104,68 +118,27 @@ let views_cmd =
 (* --- elect --- *)
 
 let elect_cmd =
-  let run spec task engine domains =
+  let run spec task exec =
     let g = parse_graph spec in
-    let exec = exec_of_flags ~engine ~domains in
-    let run_scheme scheme = Scheme.run ~exec scheme g in
-    let report verify pp r =
-      match verify g r.Scheme.outputs with
-      | Ok leader ->
-          Printf.printf "leader: node %d (%d rounds, %d advice bits)\n" leader
-            r.Scheme.rounds r.Scheme.advice_bits;
-          Array.iteri
-            (fun v o -> Printf.printf "  node %d -> %s\n" v (pp o))
-            r.Scheme.outputs
-      | Error e -> Printf.printf "FAILED: %s\n" e
-    in
-    let pp_pairs pairs =
-      "["
-      ^ String.concat ";"
-          (List.map (fun (p, q) -> Printf.sprintf "(%d,%d)" p q) pairs)
-      ^ "]"
-    in
-    let pp_answer pp_payload = function
-      | Task.Leader -> "leader"
-      | Task.Follower x -> pp_payload x
-    in
-    match String.lowercase_ascii task with
-    | "s" ->
-        report Verify.selection
-          (pp_answer (fun () -> "non-leader"))
-          (run_scheme Select_by_view.scheme)
-    | "pe" ->
-        report Verify.port_election
-          (pp_answer string_of_int)
-          (run_scheme Map_advice.port_election)
-    | "ppe" ->
-        report Verify.port_path_election
-          (pp_answer (fun ps ->
-               "[" ^ String.concat ";" (List.map string_of_int ps) ^ "]"))
-          (run_scheme Map_advice.port_path_election)
-    | "cppe" ->
-        report Verify.complete_port_path_election (pp_answer pp_pairs)
-          (run_scheme Map_advice.complete_port_path_election)
-    | t -> failwith ("unknown task: " ^ t)
-  in
-  let task_arg =
-    Arg.(
-      value & opt string "s"
-      & info [ "t"; "task" ] ~docv:"TASK" ~doc:"One of s, pe, ppe, cppe.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for $(b,--engine sharded) (default: recommended \
-             domain count minus one).")
+    (* answers are spelled as in the daemon's elect "outputs" *)
+    let (Shade.Shade { scheme; verify; to_json; _ }) = Shade.min_time task in
+    let r = Scheme.run ~exec scheme g in
+    match verify g r.Scheme.outputs with
+    | Ok leader ->
+        Printf.printf "leader: node %d (%d rounds, %d advice bits)\n" leader
+          r.Scheme.rounds r.Scheme.advice_bits;
+        Array.iteri
+          (fun v o ->
+            Printf.printf "  node %d -> %s\n" v (Json.to_string (to_json o)))
+          r.Scheme.outputs
+    | Error e -> Printf.printf "FAILED: %s\n" e
   in
   Cmd.v
     (Cmd.info "elect"
        ~doc:
          "Run a minimum-time leader election scheme through the LOCAL \
           simulator.")
-    Term.(const run $ graph_arg $ task_arg $ engine_flag_arg $ domains_arg)
+    Term.(const run $ graph_arg $ task_arg $ exec_arg ~domains_flag:"domains")
 
 (* --- dot --- *)
 
@@ -257,10 +230,10 @@ let labelings_cmd =
       labelings;
     Printf.printf "%s: %d labelings, %d feasible\n" skeleton
       (List.length labelings) !feas;
-    Hashtbl.iter
-      (fun (s, c) count ->
-        Printf.printf "  psi_S=%d psi_CPPE=%d: %d labelings\n" s c count)
-      tally
+    Hashtbl.fold (fun key count acc -> (key, count) :: acc) tally []
+    |> List.sort compare
+    |> List.iter (fun ((s, c), count) ->
+           Printf.printf "  psi_S=%d psi_CPPE=%d: %d labelings\n" s c count)
   in
   let skel_arg =
     Arg.(
@@ -281,12 +254,10 @@ let labelings_cmd =
 let sweep_cmd =
   let open Shades_runtime in
   let run family delta_lo delta_hi k_lo k_hi sigmas is mus zeffs max_order
-      domains out sharded tiny compare_with strict trace_out engine
-      engine_domains dry_run =
+      domains out sharded tiny compare_with strict trace_out exec dry_run =
     let domains =
       match domains with Some d -> d | None -> Shades_pool.default_domains ()
     in
-    let exec = exec_of_flags ~engine ~domains:engine_domains in
     (* Sweep-level registry: J-class points skipped by the node budget
        are tallied here — the grid shrinking must never be silent. *)
     let sweep_metrics = Metrics.create () in
@@ -595,7 +566,7 @@ let sweep_cmd =
       const run $ family_arg $ delta_lo $ delta_hi $ k_lo $ k_hi $ sigmas_arg
       $ is_arg $ mus_arg $ zeffs_arg $ max_order_arg $ domains_arg $ out_arg
       $ sharded_arg $ tiny_arg $ compare_arg $ strict_arg $ trace_out_arg
-      $ engine_flag_arg $ engine_domains_arg $ dry_run_arg)
+      $ exec_arg ~domains_flag:"engine-domains" $ dry_run_arg)
 
 (* --- trace --- *)
 
@@ -622,19 +593,6 @@ let trace_exits =
     Cmdliner.Cmd.Exit.info 125 ~doc:"on unexpected internal errors (bugs).";
   ]
 
-(* One execution of [task] on [g] under [engine], as the thunk shape
-   {!Replay.run} consumes.  `trace record` stores "task graph-spec" in
-   the label, so `trace replay` can rebuild exactly this thunk. *)
-let trace_exec ~task ~engine g =
-  let exec = Shades_localsim.Exec.of_trace_engine engine in
-  let go scheme emit = ignore (Scheme.run ~exec ~tracer:emit scheme g) in
-  match String.lowercase_ascii task with
-  | "s" -> go Select_by_view.scheme
-  | "pe" -> go Map_advice.port_election
-  | "ppe" -> go Map_advice.port_path_election
-  | "cppe" -> go Map_advice.complete_port_path_election
-  | t -> failwith ("unknown task: " ^ t ^ " (expected s, pe, ppe, cppe)")
-
 let load_trace path =
   match Codec.read ~path with
   | Ok t -> t
@@ -654,14 +612,14 @@ let trace_record_cmd =
     let g = parse_graph spec in
     let engine = if async then Trace.Async { seed } else Trace.Sync in
     let r = Trace.recorder ?capacity () in
-    trace_exec ~task ~engine g (Trace.emit r);
+    Shade.trace_exec task ~engine g (Trace.emit r);
     let draft =
       Trace.capture r
         {
           Trace.engine;
           graph_order = Port_graph.order g;
           advice_bits = 0;
-          label = String.lowercase_ascii task ^ " " ^ spec;
+          label = Spec.trace_label ~task spec;
         }
     in
     let advice_bits =
@@ -706,11 +664,6 @@ let trace_record_cmd =
           ~doc:"Recorder ring-buffer capacity (default 1048576 events); \
                 beyond it the oldest events are evicted and counted.")
   in
-  let task_arg =
-    Arg.(
-      value & opt string "s"
-      & info [ "t"; "task" ] ~docv:"TASK" ~doc:"One of s, pe, ppe, cppe.")
-  in
   let out_arg =
     Arg.(
       required
@@ -729,26 +682,18 @@ let trace_record_cmd =
 let trace_replay_cmd =
   let run file =
     let trace = load_trace file in
-    let label = trace.Trace.meta.Trace.label in
     let task, spec =
-      match String.index_opt label ' ' with
-      | Some i ->
-          ( String.sub label 0 i,
-            String.sub label (i + 1) (String.length label - i - 1) )
-      | None ->
-          failwith
-            ("trace label is not \"task graph-spec\" (was it recorded by \
-              `trace record`?): " ^ label)
+      match Spec.parse_trace_label trace.Trace.meta.Trace.label with
+      | Ok parsed -> parsed
+      | Error e -> failwith e
     in
-    let g = parse_graph spec in
-    match
-      Replay.run trace (trace_exec ~task ~engine:trace.Trace.meta.Trace.engine g)
-    with
+    let engine = trace.Trace.meta.Trace.engine in
+    match Replay.run trace (Shade.trace_exec task ~engine (parse_graph spec)) with
     | Ok () ->
         Printf.printf "replay ok: %d events reproduced (%s on %s, %s)\n"
           (Array.length trace.Trace.events)
-          task spec
-          (Trace.engine_to_string trace.Trace.meta.Trace.engine)
+          (String.lowercase_ascii (Task.kind_to_string task))
+          spec (Trace.engine_to_string engine)
     | Error d ->
         Printf.printf "replay DIVERGED at %s\n" (Replay.pp_divergence d);
         exit 1
@@ -851,14 +796,12 @@ let trace_domains_arg =
               changes what gets blessed or gated.")
 
 let trace_bless_cmd =
-  let run dir domains engine engine_domains =
+  let run dir domains exec =
     let open Shades_runtime in
     let domains =
       match domains with Some d -> d | None -> Shades_pool.default_domains ()
     in
-    let jobs =
-      Sweep.tiny_jobs ~exec:(exec_of_flags ~engine ~domains:engine_domains) ()
-    in
+    let jobs = Sweep.tiny_jobs ~exec () in
     let traced, _ = Sweep.run_traced ~domains jobs in
     let keyed =
       List.map2 (fun job (_, tr) -> (Sweep.key_of_job job, tr)) jobs traced
@@ -881,18 +824,16 @@ let trace_bless_cmd =
           baselines that $(b,trace gate) (and 'make check') compare \
           against.  Unchanged traces are left untouched on disk.")
     Term.(
-      const run $ baseline_dir_arg $ trace_domains_arg $ engine_flag_arg
-      $ engine_domains_arg)
+      const run $ baseline_dir_arg $ trace_domains_arg
+      $ exec_arg ~domains_flag:"engine-domains")
 
 let trace_gate_cmd =
-  let run dir json_out domains engine engine_domains =
+  let run dir json_out domains exec =
     let open Shades_runtime in
     let domains =
       match domains with Some d -> d | None -> Shades_pool.default_domains ()
     in
-    let jobs =
-      Sweep.tiny_jobs ~exec:(exec_of_flags ~engine ~domains:engine_domains) ()
-    in
+    let jobs = Sweep.tiny_jobs ~exec () in
     let _, report = Sweep.run_traced ~domains ~baseline:dir jobs in
     match report with
     | None | Some (Error _) ->
@@ -943,7 +884,7 @@ let trace_gate_cmd =
           digest without decoding.")
     Term.(
       const run $ baseline_dir_arg $ json_arg $ trace_domains_arg
-      $ engine_flag_arg $ engine_domains_arg)
+      $ exec_arg ~domains_flag:"engine-domains")
 
 let trace_cmd =
   Cmd.group
@@ -1342,11 +1283,9 @@ let client_cmd =
           Json.Obj
             ((("op", Json.String op) :: graph_members ())
             @ [ ("engine", Json.String engine) ]
-            @ (if engine = "async" then [ ("seed", Json.Int seed) ] else [])
-            @
-            match domains with
-            | Some d when engine = "sharded" -> [ ("domains", Json.Int d) ]
-            | _ -> [])
+            @ List.filter_map
+                (fun (name, v) -> Option.map (fun i -> (name, Json.Int i)) v)
+                [ ("seed", seed); ("domains", domains) ])
       | "verify" ->
           let text =
             match outputs with
@@ -1509,9 +1448,12 @@ let client_cmd =
   in
   let seed_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (some int) None
       & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Adversary schedule seed for $(b,--engine async).")
+          ~doc:
+            "Adversary schedule seed for $(b,--engine async) (the daemon \
+             defaults it to 0).")
   in
   let client_domains_arg =
     Arg.(
@@ -1583,48 +1525,29 @@ let adversary_exits =
 
 let adversary_cmd =
   let open Shades_adversary in
-  let shade_of_task task =
-    let wanted = String.lowercase_ascii task in
-    match
-      List.find_opt
-        (fun s ->
-          String.lowercase_ascii (Task.kind_to_string (Corrupt.task_of s))
-          = wanted)
-        Corrupt.map_shades
-    with
-    | Some s -> s
-    | None ->
-        failwith ("unknown task: " ^ task ^ " (expected s, pe, ppe, cppe)")
-  in
-  let task_arg =
-    Arg.(
-      value & opt string "s"
-      & info [ "t"; "task" ] ~docv:"TASK" ~doc:"One of s, pe, ppe, cppe.")
-  in
   let schedule_search_cmd =
     let run spec task seeds beam passes =
       let g = parse_graph spec in
-      match shade_of_task task with
-      | Corrupt.Shade { scheme; _ } ->
-          let sweeps = Schedule.sweep_seeds scheme g ~seeds in
-          Printf.printf "seeded delay plans on %s (task %s):\n" spec
-            (String.uppercase_ascii task);
-          List.iter
-            (fun (seed, m) ->
-              Printf.printf "  seed %4d  makespan %8.3f\n" seed m)
-            sweeps;
-          let best_seed =
-            List.fold_left (fun acc (_, m) -> Float.max acc m) 0. sweeps
-          in
-          let r =
-            Schedule.search ~beam ~passes scheme g
-              ~init:(Schedule.uniform g 0.05)
-          in
-          Printf.printf
-            "search (beam=%d, passes=%d): makespan %.3f after %d evaluations\n"
-            beam passes r.Schedule.makespan r.Schedule.evaluations;
-          Printf.printf "adversarial gain over the best swept seed: %+.3f\n"
-            (r.Schedule.makespan -. best_seed)
+      let (Shade.Shade { scheme; _ }) = Shade.map_advice task in
+      let sweeps = Schedule.sweep_seeds scheme g ~seeds in
+      Printf.printf "seeded delay plans on %s (task %s):\n" spec
+        (Task.kind_to_string task);
+      List.iter
+        (fun (seed, m) ->
+          Printf.printf "  seed %4d  makespan %8.3f\n" seed m)
+        sweeps;
+      let best_seed =
+        List.fold_left (fun acc (_, m) -> Float.max acc m) 0. sweeps
+      in
+      let r =
+        Schedule.search ~beam ~passes scheme g
+          ~init:(Schedule.uniform g 0.05)
+      in
+      Printf.printf
+        "search (beam=%d, passes=%d): makespan %.3f after %d evaluations\n"
+        beam passes r.Schedule.makespan r.Schedule.evaluations;
+      Printf.printf "adversarial gain over the best swept seed: %+.3f\n"
+        (r.Schedule.makespan -. best_seed)
     in
     let seeds_arg =
       Arg.(
@@ -1667,22 +1590,21 @@ let adversary_cmd =
             { Shades_localsim.Engine.victim; at_round })
           crashes
       in
-      match shade_of_task task with
-      | Corrupt.Shade { scheme; _ } ->
-          let plan = Fault.normalize ~n:(Port_graph.order g) faults in
-          Printf.printf "plan: %s\n"
-            (if plan = [] then "(no faults)"
-             else
-               String.concat ", "
-                 (List.map
-                    (fun { Shades_localsim.Engine.victim; at_round } ->
-                      Printf.sprintf "%d@%d" victim at_round)
-                    plan));
-          let outcome = Fault.run ?max_rounds scheme g ~faults in
-          print_endline (Fault.describe outcome);
-          (match outcome with
-          | Fault.Survived _ -> ()
-          | Fault.Stalled _ | Fault.Aborted _ -> exit 1)
+      let (Shade.Shade { scheme; _ }) = Shade.map_advice task in
+      let plan = Fault.normalize ~n:(Port_graph.order g) faults in
+      Printf.printf "plan: %s\n"
+        (if plan = [] then "(no faults)"
+         else
+           String.concat ", "
+             (List.map
+                (fun { Shades_localsim.Engine.victim; at_round } ->
+                  Printf.sprintf "%d@%d" victim at_round)
+                plan));
+      let outcome = Fault.run ?max_rounds scheme g ~faults in
+      print_endline (Fault.describe outcome);
+      (match outcome with
+      | Fault.Survived _ -> ()
+      | Fault.Stalled _ | Fault.Aborted _ -> exit 1)
     in
     let crash_arg =
       Arg.(
@@ -1717,54 +1639,53 @@ let adversary_cmd =
   let corrupt_cmd =
     let run spec task flips burst_len bursts truncations no_swap slack =
       let g = parse_graph spec in
-      match shade_of_task task with
-      | shade ->
-          let prepared =
-            try Corrupt.prepare ~slack shade g
-            with Invalid_argument msg ->
-              Printf.eprintf "shades adversary corrupt: %s\n" msg;
-              exit 2
+      let shade = Shade.map_advice task in
+      let prepared =
+        try Corrupt.prepare ~slack shade g
+        with Invalid_argument msg ->
+          Printf.eprintf "shades adversary corrupt: %s\n" msg;
+          exit 2
+      in
+      let bits = prepared.Corrupt.advice_bits in
+      let n = Port_graph.order g in
+      let ops =
+        Corrupt.flips ~bits ~count:flips
+        @ Corrupt.bursts ~bits ~len:burst_len ~count:bursts
+        @ Corrupt.truncations ~bits ~count:truncations
+        @
+        if no_swap then []
+        else
+          [
+            Corrupt.renumber_swap ~label:"reversal" g (Corrupt.reversal n);
+          ]
+      in
+      Printf.printf
+        "reference: leader %d in %d round%s, %d advice bits; %d mutants\n"
+        prepared.Corrupt.reference_leader prepared.Corrupt.reference_rounds
+        (plural prepared.Corrupt.reference_rounds)
+        bits (List.length ops);
+      let fooled = ref 0 in
+      List.iter
+        (fun op ->
+          let c = prepared.Corrupt.classify op in
+          let detail =
+            match c with
+            | Corrupt.Detected { reason } -> reason
+            | Corrupt.Harmless { leader; rounds } ->
+                Printf.sprintf "leader %d in %d rounds" leader rounds
+            | Corrupt.Fooling { leader; reference; rounds } ->
+                incr fooled;
+                Printf.sprintf "leader %d instead of %d in %d rounds"
+                  leader reference rounds
           in
-          let bits = prepared.Corrupt.advice_bits in
-          let n = Port_graph.order g in
-          let ops =
-            Corrupt.flips ~bits ~count:flips
-            @ Corrupt.bursts ~bits ~len:burst_len ~count:bursts
-            @ Corrupt.truncations ~bits ~count:truncations
-            @
-            if no_swap then []
-            else
-              [
-                Corrupt.renumber_swap ~label:"reversal" g (Corrupt.reversal n);
-              ]
-          in
-          Printf.printf
-            "reference: leader %d in %d round%s, %d advice bits; %d mutants\n"
-            prepared.Corrupt.reference_leader prepared.Corrupt.reference_rounds
-            (plural prepared.Corrupt.reference_rounds)
-            bits (List.length ops);
-          let fooled = ref 0 in
-          List.iter
-            (fun op ->
-              let c = prepared.Corrupt.classify op in
-              let detail =
-                match c with
-                | Corrupt.Detected { reason } -> reason
-                | Corrupt.Harmless { leader; rounds } ->
-                    Printf.sprintf "leader %d in %d rounds" leader rounds
-                | Corrupt.Fooling { leader; reference; rounds } ->
-                    incr fooled;
-                    Printf.sprintf "leader %d instead of %d in %d rounds"
-                      leader reference rounds
-              in
-              Printf.printf "  %-16s %-9s %s\n" (Corrupt.op_label op)
-                (Corrupt.class_label c) detail)
-            ops;
-          if !fooled > 0 then begin
-            Printf.printf "%d fooling corruption%s — the adversary wins\n"
-              !fooled (plural !fooled);
-            exit 1
-          end
+          Printf.printf "  %-16s %-9s %s\n" (Corrupt.op_label op)
+            (Corrupt.class_label c) detail)
+        ops;
+      if !fooled > 0 then begin
+        Printf.printf "%d fooling corruption%s — the adversary wins\n"
+          !fooled (plural !fooled);
+        exit 1
+      end
     in
     let flips_arg =
       Arg.(

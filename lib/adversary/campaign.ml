@@ -1,6 +1,7 @@
 module Port_graph = Shades_graph.Port_graph
 module Gen = Shades_graph.Gen
 module Task = Shades_election.Task
+module Shade = Shades_election.Shade
 module Pool = Shades_pool
 module Store = Shades_runtime.Store
 module Json = Shades_json.Json
@@ -11,7 +12,7 @@ type scenario = {
   command : string;
   graph_label : string;
   graph : Port_graph.t;
-  shades : Corrupt.shade list;
+  shades : Shade.t list;
   ops : bits:int -> n:int -> Corrupt.op list;
   require_fooling : bool;
 }
@@ -68,7 +69,7 @@ let smoke () =
     command = "shades adversary campaign --smoke --out <dir>";
     graph_label = Printf.sprintf "path:%d" n;
     graph = Gen.path n;
-    shades = Corrupt.map_shades;
+    shades = List.map Shade.map_advice Task.all;
     ops = default_ops;
     require_fooling = true;
   }
@@ -89,7 +90,7 @@ let wide () =
           graph_label;
       graph_label;
       graph;
-      shades = Corrupt.map_shades;
+      shades = List.map Shade.map_advice Task.all;
       ops =
         (fun ~bits ~n ->
           Corrupt.flips ~bits ~count:24
@@ -143,7 +144,7 @@ let run ?domains (scenario : scenario) =
         | None -> []
         | Some p ->
             List.map
-              (fun op -> (Corrupt.task_of shade, p, op))
+              (fun op -> (Shade.task shade, p, op))
               (scenario.ops ~bits:p.Corrupt.advice_bits ~n))
       prepared
   in
@@ -164,7 +165,7 @@ let run ?domains (scenario : scenario) =
   let summaries =
     List.map
       (fun (shade, p) ->
-        let task = Corrupt.task_of shade in
+        let task = Shade.task shade in
         match p with
         | None ->
             {

@@ -20,7 +20,7 @@ type scenario = {
   command : string;  (** how to reproduce, for the markdown log *)
   graph_label : string;
   graph : Shades_graph.Port_graph.t;
-  shades : Corrupt.shade list;
+  shades : Shades_election.Shade.t list;
   ops : bits:int -> n:int -> Corrupt.op list;
       (** mutation grid, given the honest advice length and the order *)
   require_fooling : bool;

@@ -2,10 +2,8 @@ module Bitstring = Shades_bits.Bitstring
 module Port_graph = Shades_graph.Port_graph
 module Engine = Shades_localsim.Engine
 module Exec = Shades_localsim.Exec
-module Task = Shades_election.Task
 module Scheme = Shades_election.Scheme
-module Map_advice = Shades_election.Map_advice
-module Verify = Shades_election.Verify
+module Shade = Shades_election.Shade
 
 type op =
   | Flip of int
@@ -42,41 +40,6 @@ let mutate ~oracle g op =
       Bitstring.sub advice 0 keep
   | Swap { donor; _ } -> oracle donor
 
-type shade =
-  | Shade : {
-      task : Task.kind;
-      scheme : 'o Scheme.t;
-      verify :
-        Port_graph.t -> 'o array -> (Port_graph.vertex, string) result;
-    }
-      -> shade
-
-let task_of (Shade { task; _ }) = task
-
-let map_shades =
-  [
-    Shade
-      { task = Task.S; scheme = Map_advice.selection; verify = Verify.selection };
-    Shade
-      {
-        task = Task.PE;
-        scheme = Map_advice.port_election;
-        verify = Verify.port_election;
-      };
-    Shade
-      {
-        task = Task.PPE;
-        scheme = Map_advice.port_path_election;
-        verify = Verify.port_path_election;
-      };
-    Shade
-      {
-        task = Task.CPPE;
-        scheme = Map_advice.complete_port_path_election;
-        verify = Verify.complete_port_path_election;
-      };
-  ]
-
 type classification =
   | Detected of { reason : string }
   | Harmless of { leader : int; rounds : int }
@@ -94,7 +57,7 @@ type prepared = {
   advice_bits : int;
 }
 
-let prepare ?(slack = 2) (Shade { scheme; verify; _ }) g =
+let prepare ?(slack = 2) (Shade.Shade { scheme; verify; _ }) g =
   let reference = Scheme.run scheme g in
   let reference_leader =
     match verify g reference.Scheme.outputs with

@@ -46,26 +46,6 @@ val mutate :
 (** The corrupted advice for [g].
     @raise Invalid_argument on an out-of-range position. *)
 
-(** One shade packed with its referee, existentially over the output
-    type — campaigns iterate uniformly over all four. *)
-type shade =
-  | Shade : {
-      task : Shades_election.Task.kind;
-      scheme : 'o Shades_election.Scheme.t;
-      verify :
-        Shades_graph.Port_graph.t ->
-        'o array ->
-        (Shades_graph.Port_graph.vertex, string) result;
-    }
-      -> shade
-
-val task_of : shade -> Shades_election.Task.kind
-
-val map_shades : shade list
-(** The four map-advice schemes ({!Shades_election.Map_advice}) with
-    their {!Shades_election.Verify} referees, in S, PE, PPE, CPPE
-    order — the campaign's default targets. *)
-
 type classification =
   | Detected of { reason : string }
   | Harmless of { leader : int; rounds : int }
@@ -81,7 +61,8 @@ type prepared = {
   advice_bits : int;  (** honest advice length *)
 }
 
-val prepare : ?slack:int -> shade -> Shades_graph.Port_graph.t -> prepared
+val prepare :
+  ?slack:int -> Shades_election.Shade.t -> Shades_graph.Port_graph.t -> prepared
 (** Run the honest reference once (its leader and round count anchor
     every classification), then classify mutants against it.  Mutant
     runs are capped at [reference_rounds + slack] (default 2) rounds —

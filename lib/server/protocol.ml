@@ -1,6 +1,5 @@
 module Json = Shades_json.Json
 module Port_graph = Shades_graph.Port_graph
-module Task = Shades_election.Task
 
 let version = Shades_versions.Versions.wire_protocol
 
@@ -123,13 +122,7 @@ let error_response ~code message =
 
 (* --- tasks --- *)
 
-let task_of_string s =
-  match String.lowercase_ascii s with
-  | "s" -> Ok Task.S
-  | "pe" -> Ok Task.PE
-  | "ppe" -> Ok Task.PPE
-  | "cppe" -> Ok Task.CPPE
-  | t -> Error ("unknown task: " ^ t ^ " (expected s, pe, ppe, cppe)")
+let task_of_string = Spec.task_of_string
 
 (* --- graphs --- *)
 

@@ -61,7 +61,8 @@ val ok_response : op:string -> Shades_json.Json.t -> Shades_json.Json.t
 val error_response : code:string -> string -> Shades_json.Json.t
 
 val task_of_string : string -> (Shades_election.Task.kind, string) result
-(** ["s"], ["pe"], ["ppe"] or ["cppe"] (case-insensitive). *)
+(** {!Spec.task_of_string}: ["s"], ["pe"], ["ppe"] or ["cppe"]
+    (case-insensitive). *)
 
 val graph_to_json : Shades_graph.Port_graph.t -> Shades_json.Json.t
 (** Explicit port-graph form: [{"n": n, "edges": [[v, p, u, q], ...]}]. *)

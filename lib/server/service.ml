@@ -3,9 +3,7 @@ module Port_graph = Shades_graph.Port_graph
 module Bitstring = Shades_bits.Bitstring
 module Task = Shades_election.Task
 module Scheme = Shades_election.Scheme
-module Verify = Shades_election.Verify
-module Select_by_view = Shades_election.Select_by_view
-module Map_advice = Shades_election.Map_advice
+module Shade = Shades_election.Shade
 module Metrics = Shades_runtime.Metrics
 module Store = Shades_runtime.Store
 module Trace = Shades_trace.Trace
@@ -117,92 +115,6 @@ let set_parallel t parallel = t.parallel <- parallel
 let uptime_seconds t =
   float_of_int (Metrics.now_ns () - t.started_ns) /. 1e9
 
-(* --- per-task dispatch ---
-
-   One existential record per task bundles the minimum-time scheme with
-   its referee and the JSON codec of its payload, so every endpoint
-   dispatches through the same four-way table. *)
-
-type impl =
-  | Impl : {
-      scheme : 'p Task.answer Scheme.t;
-      verify :
-        Port_graph.t -> 'p Task.answer array -> (Port_graph.vertex, string) result;
-      payload_to_json : 'p -> Json.t;
-      payload_of_json : Json.t -> ('p, string) result;
-    }
-      -> impl
-
-let impl_of_task = function
-  | Task.S ->
-      Impl
-        {
-          scheme = Select_by_view.scheme;
-          verify = Verify.selection;
-          payload_to_json = (fun () -> Json.String "follower");
-          payload_of_json =
-            (function
-            | Json.String "follower" -> Ok ()
-            | _ -> Error "S output must be \"leader\" or \"follower\"");
-        }
-  | Task.PE ->
-      Impl
-        {
-          scheme = Map_advice.port_election;
-          verify = Verify.port_election;
-          payload_to_json = (fun p -> Json.Int p);
-          payload_of_json =
-            (function
-            | Json.Int p -> Ok p
-            | _ -> Error "PE output must be \"leader\" or a port number");
-        }
-  | Task.PPE ->
-      Impl
-        {
-          scheme = Map_advice.port_path_election;
-          verify = Verify.port_path_election;
-          payload_to_json = (fun ps -> Json.List (List.map (fun p -> Json.Int p) ps));
-          payload_of_json =
-            (let rec ports acc = function
-               | [] -> Ok (List.rev acc)
-               | Json.Int p :: rest -> ports (p :: acc) rest
-               | _ -> Error "PPE output must be \"leader\" or a port list"
-             in
-             function
-             | Json.List l -> ports [] l
-             | _ -> Error "PPE output must be \"leader\" or a port list");
-        }
-  | Task.CPPE ->
-      Impl
-        {
-          scheme = Map_advice.complete_port_path_election;
-          verify = Verify.complete_port_path_election;
-          payload_to_json =
-            (fun pairs ->
-              Json.List
-                (List.map
-                   (fun (p, q) -> Json.List [ Json.Int p; Json.Int q ])
-                   pairs));
-          payload_of_json =
-            (let rec pairs acc = function
-               | [] -> Ok (List.rev acc)
-               | Json.List [ Json.Int p; Json.Int q ] :: rest ->
-                   pairs ((p, q) :: acc) rest
-               | _ -> Error "CPPE output must be \"leader\" or a [p, q] pair list"
-             in
-             function
-             | Json.List l -> pairs [] l
-             | _ -> Error "CPPE output must be \"leader\" or a [p, q] pair list");
-        }
-
-let answer_to_json payload_to_json = function
-  | Task.Leader -> Json.String "leader"
-  | Task.Follower p -> payload_to_json p
-
-let answer_of_json payload_of_json = function
-  | Json.String "leader" -> Ok Task.Leader
-  | j -> Result.map (fun p -> Task.Follower p) (payload_of_json j)
-
 (* --- the advice cache --- *)
 
 (* A cheap digest of the submitted (non-canonical) encoding, used as a
@@ -237,7 +149,7 @@ let canonical_digest t g =
 let advise_entry t g task =
   let digest = canonical_digest t g in
   let key = cache_key ~digest ~task in
-  let (Impl { scheme; _ }) = impl_of_task task in
+  let (Shade.Shade { scheme; _ }) = Shade.min_time task in
   let entry, hit =
     Cache.find_or_compute t.advice key ~compute:(fun () ->
         Metrics.incr t.metrics "advise_computes";
@@ -327,42 +239,35 @@ let elect t req =
      engine, versions) and can be served from the result cache without
      touching oracle or engine.  The sharded engine is observationally
      identical to sync at any domain count, but echoes a different
-     engine name, so it gets its own key; the domain count itself is
-     deliberately absent. *)
-  let (timing : Exec.timing), engine_name, result_engine =
-    match Json.member "engine" req with
-    | None | Some (Json.String "sync") -> (Sequential, "sync", "sync")
-    | Some (Json.String "sharded") ->
-        let domains =
-          match Json.member "domains" req with
-          | Some (Json.Int d) when d >= 1 -> Some d
-          | None -> None
-          | Some _ -> failwith "\"domains\" must be a positive integer"
-        in
-        (Sharded domains, "sharded", "sharded")
-    | Some (Json.String "async") ->
-        let seed =
-          match Json.member "seed" req with
-          | Some (Json.Int s) -> s
-          | None -> 0
-          | Some _ -> failwith "\"seed\" must be an integer"
-        in
-        ( Async (Seeded seed),
-          Trace.engine_to_string (Trace.Async { seed }),
-          Printf.sprintf "async-s%d" seed )
-    | Some _ ->
-        failwith "\"engine\" must be \"sync\", \"sharded\" or \"async\""
+     engine name, so it gets its own key ({!Spec.engine}). *)
+  let int_member name ~what =
+    match Json.member name req with
+    | None -> None
+    | Some (Json.Int i) -> Some i
+    | Some _ -> failwith (Printf.sprintf "%S must be %s" name what)
   in
-  let exec = { Exec.default with timing } in
+  let { Spec.exec; name = engine_name; key = result_engine } =
+    match
+      Spec.engine
+        ?domains:(int_member "domains" ~what:"a positive integer")
+        ~seed:(Option.value ~default:0 (int_member "seed" ~what:"an integer"))
+        (match Json.member "engine" req with
+        | None -> "sync"
+        | Some (Json.String e) -> e
+        | Some _ -> "" (* not a name: Spec's unknown-engine error *))
+    with
+    | Ok e -> e
+    | Error e -> failwith e
+  in
   let key =
     elect_key ~digest:(encoding_digest g) ~task ~engine:result_engine
   in
   let result, result_cached =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "elect_computes";
-        let (Impl { scheme; verify; payload_to_json; _ }) = impl_of_task task in
+        let (Shade.Shade { scheme; verify; to_json; _ }) = Shade.min_time task in
         let digest, run, cached =
-          match timing with
+          match exec.Exec.timing with
           | Async _ ->
               (* the α-synchronizer path exercises the full scheme (oracle
                  included) — it pins schedules, not advice reuse *)
@@ -396,8 +301,7 @@ let elect t req =
              match verdict with Ok l -> Json.Int l | Error _ -> Json.Null);
             ("outputs",
              Json.List
-               (Array.to_list
-                  (Array.map (answer_to_json payload_to_json) run.Scheme.outputs)));
+               (Array.to_list (Array.map to_json run.Scheme.outputs)));
             ("graph", graph_info g);
           ])
   in
@@ -426,13 +330,13 @@ let verify_outputs t req =
   let result, cached =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "verify_computes";
-        let (Impl { verify; payload_of_json; _ }) = impl_of_task task in
+        let (Shade.Shade { verify; of_json; _ }) = Shade.min_time task in
         let outputs =
           match outputs_json with
           | Json.List l ->
               List.map
                 (fun j ->
-                  match answer_of_json payload_of_json j with
+                  match of_json j with
                   | Ok a -> a
                   | Error e -> failwith ("bad output: " ^ e))
                 l
@@ -482,25 +386,13 @@ let verify_trace t req =
     | Error e -> failwith ("bad trace: " ^ e)
   in
   let label = trace.Trace.meta.Trace.label in
-  let task_str, spec =
-    match String.index_opt label ' ' with
-    | Some i ->
-        ( String.sub label 0 i,
-          String.sub label (i + 1) (String.length label - i - 1) )
-    | None ->
-        failwith
-          ("trace label is not \"task graph-spec\" (was it recorded by `trace \
-            record`?): " ^ label)
-  in
-  let task =
-    match Protocol.task_of_string task_str with
-    | Ok k -> k
+  let task, spec =
+    match Spec.parse_trace_label label with
+    | Ok parsed -> parsed
     | Error e -> failwith e
   in
   let g = Spec.parse_exn spec in
-  let (Impl { scheme; _ }) = impl_of_task task in
-  let config = Exec.of_trace_engine trace.Trace.meta.Trace.engine in
-  let exec emit = ignore (Scheme.run ~exec:config ~tracer:emit scheme g) in
+  let exec = Shade.trace_exec task ~engine:trace.Trace.meta.Trace.engine g in
   let outcome = Metrics.time t.metrics "replay" (fun () -> Replay.run trace exec) in
   Protocol.ok_response ~op:"verify-trace"
     (Json.Obj

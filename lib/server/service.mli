@@ -43,10 +43,11 @@
     With [cache_dir] given to {!create}, both caches gain a
     {!Cache.persist} disk tier: [<dir>/advice/] and [<dir>/results/],
     one JSON file per content address, written atomically
-    (write-then-rename) and never evicted.  A daemon restarted on the
-    same directory serves every previously computed advice string and
-    elect/verify result from disk — zero recomputation — which is what
-    [bench/serve_bench --assert]'s restart-warm phase enforces.
+    (write-then-rename); with [cache_max_bytes] each tier evicts its
+    oldest files to stay within budget.  A daemon restarted on the same
+    directory serves every previously computed advice string and
+    elect/verify result still on disk — zero recomputation — which is
+    what [scripts/serve_smoke.sh]'s restart leg checks.
 
     Counters (in {!metrics}, reported by the [stats] endpoint and
     rendered by {!Http} as [GET /metrics]):

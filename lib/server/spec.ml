@@ -3,6 +3,9 @@ module Gen = Shades_graph.Gen
 module Gclass = Shades_families.Gclass
 module Uclass = Shades_families.Uclass
 module Jclass = Shades_families.Jclass
+module Task = Shades_election.Task
+module Exec = Shades_localsim.Exec
+module Trace = Shades_trace.Trace
 
 let grammar =
   "ring:<n> | path:<n> | star:<n> | clique:<n> | \
@@ -53,3 +56,51 @@ let parse spec =
 
 let parse_exn spec =
   match parse spec with Ok g -> g | Error e -> failwith e
+
+(* --- task names --- *)
+
+let task_of_string s =
+  match String.lowercase_ascii s with
+  | "s" -> Ok Task.S
+  | "pe" -> Ok Task.PE
+  | "ppe" -> Ok Task.PPE
+  | "cppe" -> Ok Task.CPPE
+  | t -> Error ("unknown task: " ^ t ^ " (expected s, pe, ppe, cppe)")
+
+(* --- engine names --- *)
+
+type engine = { exec : Exec.t; name : string; key : string }
+
+let engine ?domains ?seed name =
+  let timing (timing : Exec.timing) ~name ~key =
+    Ok { exec = { Exec.default with timing }; name; key }
+  in
+  match (name, domains, seed) with
+  | ("sync" | "sequential" | "seq"), _, _ ->
+      timing Sequential ~name:"sync" ~key:"sync"
+  | "sharded", Some d, _ when d < 1 ->
+      Error "\"domains\" must be a positive integer"
+  | "sharded", _, _ -> timing (Sharded domains) ~name:"sharded" ~key:"sharded"
+  | "async", _, Some seed ->
+      timing
+        (Async (Seeded seed))
+        ~name:(Trace.engine_to_string (Trace.Async { seed }))
+        ~key:(Printf.sprintf "async-s%d" seed)
+  | "async", _, None -> Error "engine async needs a seed"
+  | _ -> Error "\"engine\" must be \"sync\", \"sharded\" or \"async\""
+
+(* --- trace labels --- *)
+
+let trace_label ~task spec =
+  String.lowercase_ascii (Task.kind_to_string task) ^ " " ^ spec
+
+let parse_trace_label label =
+  match String.index_opt label ' ' with
+  | None ->
+      Error
+        ("trace label is not \"task graph-spec\" (was it recorded by `trace \
+          record`?): " ^ label)
+  | Some i ->
+      Result.map
+        (fun task -> (task, String.sub label (i + 1) (String.length label - i - 1)))
+        (task_of_string (String.sub label 0 i))

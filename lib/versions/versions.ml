@@ -11,7 +11,7 @@ let trace_format = 2
 let store_schema = 2
 let wire_protocol = 1
 let advice = 1
-let result = 1
+let result = 2
 let lint_report = 1
 
 let shtr_magic = "SHTR"

@@ -1,6 +1,7 @@
 #!/bin/sh
 # serve-smoke: boot the daemon, hit every endpoint once through the
-# client, and assert that a repeated advise is served from the advice
+# client (an async trace replayed locally and on the daemon included),
+# and assert that a repeated advise is served from the advice
 # cache without recomputation.  Then restart the daemon on the same
 # --cache-dir and assert the disk tier answers with zero recomputation,
 # and scrape the HTTP plane (/healthz, /metrics) with curl.  The
@@ -142,6 +143,18 @@ grep -q '"cached":true' "$WORK/batch.json" \
     || fail "trace record"
 client verify-trace --trace "$WORK/smoke.shtr" > /dev/null \
     || fail "verify-trace"
+
+# the async re-execution path: a trace recorded through the seeded
+# α-synchronizer must replay clean both locally (`trace replay`) and
+# on the daemon (`verify-trace`), which share one re-execution function
+"$CLI" trace record -g path:6 -t pe --async --seed 3 \
+    -o "$WORK/async.shtr" > /dev/null || fail "async trace record"
+"$CLI" trace replay -f "$WORK/async.shtr" > /dev/null \
+    || fail "async trace replay"
+client verify-trace --trace "$WORK/async.shtr" > "$WORK/async_verify.json" \
+    || fail "async verify-trace"
+grep -q '"valid":true' "$WORK/async_verify.json" \
+    || fail "async verify-trace verdict"
 
 # the HTTP plane: /healthz answers ok, /metrics is Prometheus text
 # with the documented series (DESIGN §13); keep the scrape as a CI

@@ -17,6 +17,7 @@ module Trace = Shades_trace.Trace
 module Codec = Shades_trace.Codec
 module Task = Shades_election.Task
 module Map_advice = Shades_election.Map_advice
+module Shade = Shades_election.Shade
 module Schedule = Shades_adversary.Schedule
 module Fault = Shades_adversary.Fault
 module Corrupt = Shades_adversary.Corrupt
@@ -273,13 +274,13 @@ let test_renumber_swap_fools_all_shades () =
       match p.Corrupt.classify op with
       | Corrupt.Fooling { leader; reference; _ } ->
           Alcotest.(check bool)
-            (Task.kind_to_string (Corrupt.task_of shade) ^ " leader moved")
+            (Task.kind_to_string (Shade.task shade) ^ " leader moved")
             true (leader <> reference)
       | c ->
           Alcotest.failf "%s: expected fooling, got %s"
-            (Task.kind_to_string (Corrupt.task_of shade))
+            (Task.kind_to_string (Shade.task shade))
             (Corrupt.class_label c))
-    Corrupt.map_shades
+    (List.map Shade.map_advice Task.all)
 
 let test_bit_damage_detected () =
   let g = Gen.path 4 in
@@ -294,12 +295,12 @@ let test_bit_damage_detected () =
           | Corrupt.Harmless _ -> () (* possible in principle; not fooling *)
           | Corrupt.Fooling _ ->
               Alcotest.failf "%s/%s: bit damage fooled the scheme"
-                (Task.kind_to_string (Corrupt.task_of shade))
+                (Task.kind_to_string (Shade.task shade))
                 (Corrupt.op_label op))
         (Corrupt.flips ~bits ~count:bits
         @ Corrupt.bursts ~bits ~len:8 ~count:5
         @ Corrupt.truncations ~bits ~count:5))
-    Corrupt.map_shades
+    (List.map Shade.map_advice Task.all)
 
 let test_smoke_campaign_verdict () =
   let report = Campaign.run ~domains:2 (Campaign.smoke ()) in

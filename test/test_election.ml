@@ -418,6 +418,41 @@ let test_pe_sharable () =
   Alcotest.(check bool) "small controls sharable" true
     (Min_advice.pe_sharable ~depth:0 (Gen.star 4) (Gen.path 3))
 
+(* --- the shade table --- *)
+
+(* Both constructors, every task: the scheme's own referee accepts its
+   run, and every node's answer survives the JSON codec unchanged. *)
+let test_shade_table () =
+  List.iter
+    (fun (cname, make) ->
+      List.iter
+        (fun task ->
+          let (Shade.Shade { task = t; scheme; verify; to_json; of_json }) =
+            make task
+          in
+          Alcotest.(check string)
+            "task" (Task.kind_to_string task) (Task.kind_to_string t);
+          List.iter
+            (fun spec ->
+              let what =
+                Printf.sprintf "%s %s %s" cname (Task.kind_to_string task) spec
+              in
+              let g = Shades_server.Spec.parse_exn spec in
+              let r = Scheme.run scheme g in
+              (match verify g r.Scheme.outputs with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "%s: verifier rejected: %s" what e);
+              Array.iteri
+                (fun v a ->
+                  if of_json (to_json a) <> Ok a then
+                    Alcotest.failf "%s: node %d answer %s does not round-trip"
+                      what v
+                      (Shades_json.Json.to_string (to_json a)))
+                r.Scheme.outputs)
+            [ "path:5"; "star:5"; "gclass:3,1,2" ])
+        Task.all)
+    [ ("min_time", Shade.min_time); ("map_advice", Shade.map_advice) ]
+
 let () =
   Alcotest.run "shades_election"
     [
@@ -442,6 +477,7 @@ let () =
           Alcotest.test_case "select-by-view on line" `Quick
             test_select_by_view_line;
           Alcotest.test_case "map advice on line" `Quick test_map_advice_line;
+          Alcotest.test_case "shade table" `Quick test_shade_table;
         ] );
       ( "min_advice",
         [

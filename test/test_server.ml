@@ -605,6 +605,69 @@ let test_cache_shared_dir () =
         (counter m "f_disk_hits");
       Alcotest.(check int) "no invalid files" 0 (counter m "f_disk_invalid"))
 
+(* --- textual specs: engines and trace labels --- *)
+
+let test_engine_names () =
+  let module Exec = Shades_localsim.Exec in
+  let timing = function
+    | Exec.Sequential -> "sequential"
+    | Exec.Sharded d ->
+        Printf.sprintf "sharded:%s"
+          (Option.fold ~none:"default" ~some:string_of_int d)
+    | Exec.Async (Exec.Seeded s) -> Printf.sprintf "async:%d" s
+    | Exec.Async (Exec.Plan _) -> "plan"
+  in
+  List.iter
+    (fun (name, domains, seed, expected) ->
+      let what = Printf.sprintf "engine %S" name in
+      let got =
+        Result.map
+          (fun { Spec.exec; name; key } ->
+            (timing exec.Exec.timing, name, key))
+          (Spec.engine ?domains ?seed name)
+      in
+      Alcotest.(check (result (triple string string string) string))
+        what expected got)
+    [
+      ("sync", None, None, Ok ("sequential", "sync", "sync"));
+      ("sequential", None, Some 3, Ok ("sequential", "sync", "sync"));
+      ("seq", Some 0, None, Ok ("sequential", "sync", "sync"));
+      ("sharded", None, None, Ok ("sharded:default", "sharded", "sharded"));
+      ("sharded", Some 2, Some 3, Ok ("sharded:2", "sharded", "sharded"));
+      ("async", None, Some 3, Ok ("async:3", "async(seed=3)", "async-s3"));
+      ("async", Some 2, Some 0, Ok ("async:0", "async(seed=0)", "async-s0"));
+      ("sharded", Some 0, None, Error "\"domains\" must be a positive integer");
+      ("async", None, None, Error "engine async needs a seed");
+      ( "warp", None, None,
+        Error "\"engine\" must be \"sync\", \"sharded\" or \"async\"" );
+      ( "SYNC", None, None,
+        Error "\"engine\" must be \"sync\", \"sharded\" or \"async\"" );
+    ]
+
+let test_trace_labels () =
+  List.iter
+    (fun task ->
+      List.iter
+        (fun spec ->
+          let label = Spec.trace_label ~task spec in
+          match Spec.parse_trace_label label with
+          | Ok (t, s) ->
+              Alcotest.(check (pair string string))
+                label
+                (Shades_election.Task.kind_to_string task, spec)
+                (Shades_election.Task.kind_to_string t, s)
+          | Error e -> Alcotest.failf "%s: %s" label e)
+        [ "path:6"; "gclass:3,1,2"; "line-ports:0,1,1,0" ])
+    Shades_election.Task.all;
+  Alcotest.(check string) "lower-case task" "cppe path:6"
+    (Spec.trace_label ~task:Shades_election.Task.CPPE "path:6");
+  List.iter
+    (fun label ->
+      Alcotest.(check bool)
+        (label ^ " rejected") true
+        (Result.is_error (Spec.parse_trace_label label)))
+    [ "g-sync-d3-k1-i2"; "xe path:6"; "" ]
+
 (* --- service (no sockets) --- *)
 
 let handle_ok service req =
@@ -939,6 +1002,50 @@ let test_service_restart_recovery () =
             (Json.to_string (strip_cache_flags r1))
             (Json.to_string (strip_cache_flags r2)))
         [ ("advise", a1, a2); ("elect", e1, e2); ("verify", v1, v2) ])
+
+(* A result entry stored under the previous result version — the v1.1
+   elect key, written before async replies changed their [messages] —
+   must never be served once [Versions.result] moves past it. *)
+let test_service_stale_result_version () =
+  let dir = fresh_dir "shades-stale" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let elect_req =
+        Json.Obj
+          [
+            ("op", Json.String "elect");
+            ("graph", Json.String "path:6");
+            ("task", Json.String "pe");
+          ]
+      in
+      (* one election names the result file of this request's key *)
+      ignore (handle_ok (Service.create ~cache_dir:dir ()) elect_req);
+      let results = Filename.concat dir "results" in
+      let file =
+        match Sys.readdir results with
+        | [| f |] -> f
+        | fs -> Alcotest.failf "expected one result file, got %d" (Array.length fs)
+      in
+      let body =
+        In_channel.with_open_bin (Filename.concat results file)
+          In_channel.input_all
+      in
+      Sys.remove (Filename.concat results file);
+      (* the same key under result version 1 ("/" is escaped as "%2F") *)
+      let version_at =
+        Str.search_backward (Str.regexp_string "%2Fv") file (String.length file)
+      in
+      let old = String.sub file 0 version_at ^ "%2Fv1.1" in
+      Out_channel.with_open_bin (Filename.concat results old) (fun oc ->
+          output_string oc body);
+      let s = Service.create ~cache_dir:dir () in
+      let r = result_of (handle_ok s elect_req) in
+      Alcotest.(check bool)
+        "stale-version entry not served" true
+        (Json.member "result_cached" r = Some (Json.Bool false));
+      Alcotest.(check int) "the election ran" 1
+        (counter (Service.metrics s) "elect_computes"))
 
 let batch_req items =
   Json.Obj [ ("op", Json.String "batch"); ("requests", Json.List items) ]
@@ -1305,6 +1412,8 @@ let () =
           Alcotest.test_case "hex codec" `Quick test_hex;
           Alcotest.test_case "endpoints" `Quick test_endpoints;
           Alcotest.test_case "graph json" `Quick test_graph_json;
+          Alcotest.test_case "engine names" `Quick test_engine_names;
+          Alcotest.test_case "trace labels" `Quick test_trace_labels;
         ] );
       ( "cache",
         [
@@ -1332,6 +1441,8 @@ let () =
           Alcotest.test_case "verify-trace" `Quick test_service_verify_trace;
           Alcotest.test_case "restart recovery" `Quick
             test_service_restart_recovery;
+          Alcotest.test_case "stale result version" `Quick
+            test_service_stale_result_version;
           Alcotest.test_case "batch" `Quick test_service_batch;
           Alcotest.test_case "batch parallel" `Quick test_service_batch_parallel;
         ] );
