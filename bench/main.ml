@@ -119,6 +119,19 @@ let bench_jclass =
              Verify.complete_port_path_election j.Jclass.graph answers));
     ]
 
+(* --- minimum-time election with the map as advice --- *)
+
+(* ψ_PPE = 14 on path:30, where one node's explicit depth-14 view has
+   2^15 - 1 nodes: a node that rebuilt the map's views to find itself
+   would pay that per map vertex, so this kernel sees ψ-scaling. *)
+let bench_map_advice =
+  let g = Gen.path 30 in
+  Test.make_grouped ~name:"map_advice"
+    [
+      Test.make ~name:"ppe_elect_path30"
+        (stage (fun () -> Scheme.run Map_advice.port_path_election g));
+    ]
+
 (* --- E10/E15: fooling runs --- *)
 
 let bench_fooling =
@@ -303,8 +316,8 @@ let all_tests =
   Test.make_grouped ~name:"shades"
     [
       bench_index; bench_views; bench_gclass; bench_uclass; bench_jclass;
-      bench_fooling; bench_sim; bench_engine; bench_extensions; bench_labeled;
-      bench_server;
+      bench_map_advice; bench_fooling; bench_sim; bench_engine;
+      bench_extensions; bench_labeled; bench_server;
     ]
 
 (* --- measurement: per-kernel figures over the raw samples ---

@@ -4,8 +4,9 @@
     election indexes: the oracle encodes the whole port-labeled graph;
     each node recomputes, from the map alone, the depth k = ψ_Z and the
     same deterministic class-to-output assignment as {!Index.solve_s}
-    (etc.), gathers [B^k], locates its own class among the map's
-    vertices, and outputs that class's answer.
+    (etc.), gathers [B^k], finds it among the map's depth-k views (interned
+    once per advice, {!Scheme.plan}; looked up exactly, in time polynomial
+    in k, by {!Shades_views.Cview.find_tree}) and outputs its answer.
 
     Advice is Θ(m log n) bits — the expensive but task-agnostic
     baseline, against which Theorem 2.2's tiny Selection advice and the

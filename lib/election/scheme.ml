@@ -7,6 +7,16 @@ type 'o t = {
   decide : advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o;
 }
 
+let plan f =
+  let slot = Domain.DLS.new_key (fun () -> None) in
+  fun advice ->
+    match Domain.DLS.get slot with
+    | Some (a, p) when a == advice -> p
+    | _ ->
+        let p = f advice in
+        Domain.DLS.set slot (Some (advice, p));
+        p
+
 type 'o run = {
   outputs : 'o array;
   rounds : int;

@@ -19,6 +19,12 @@ type 'o t = {
       (** The node's output as a function of its gathered view. *)
 }
 
+(** [plan f] is [f] cached in one slot per domain, keyed on the physical
+    advice value, so per-advice work runs once per run, not per node.
+    [f] must be pure in the advice: a hit may return an earlier run's
+    plan.  Exceptions are never cached: the next call reruns [f]. *)
+val plan : (Shades_bits.Bitstring.t -> 'p) -> Shades_bits.Bitstring.t -> 'p
+
 type 'o run = {
   outputs : 'o array;  (** vertex-indexed (oracle-side bookkeeping) *)
   rounds : int;  (** communication rounds used *)

@@ -14,16 +14,16 @@ let chosen_view g =
         (List.hd views) (List.tl views)
 
 let oracle g = View_tree.encode (chosen_view g)
+let chosen = Scheme.plan View_tree.decode
 
 let scheme =
   {
     Scheme.name = "select-by-view (Thm 2.2)";
     oracle;
-    rounds_of =
-      (fun ~advice ~degree:_ -> View_tree.height (View_tree.decode advice));
+    rounds_of = (fun ~advice ~degree:_ -> View_tree.height (chosen advice));
     decide =
       (fun ~advice view ->
-        if View_tree.equal (View_tree.decode advice) view then Task.Leader
+        if View_tree.equal (chosen advice) view then Task.Leader
         else Task.Follower ());
   }
 

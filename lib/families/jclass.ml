@@ -259,17 +259,7 @@ let decode_table advice =
   done;
   { k; table }
 
-(* Domain-local single-slot cache: concurrent sweeps
-   (Shades_pool) must not race or thrash each other's slot. *)
-let plan_cache = Domain.DLS.new_key (fun () -> None)
-
-let plan_of advice =
-  match Domain.DLS.get plan_cache with
-  | Some (a, p) when a == advice -> p
-  | _ ->
-      let p = decode_table advice in
-      Domain.DLS.set plan_cache (Some (advice, p));
-      p
+let plan_of = Scheme.plan decode_table
 
 let cppe_scheme t =
   let oracle _g =

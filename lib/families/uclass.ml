@@ -210,19 +210,7 @@ let compute_plan advice =
     heavies;
   { delta; k; rmin_key; heavy_port }
 
-(* The same advice value is passed to every node, so a single-slot cache
-   keyed by physical equality makes the n identical map analyses cost
-   one.  Domain-local so concurrent sweeps (Shades_pool) never
-   race or thrash each other's slot. *)
-let plan_cache = Domain.DLS.new_key (fun () -> None)
-
-let plan_of advice =
-  match Domain.DLS.get plan_cache with
-  | Some (a, p) when a == advice -> p
-  | _ ->
-      let p = compute_plan advice in
-      Domain.DLS.set plan_cache (Some (advice, p));
-      p
+let plan_of = Scheme.plan compute_plan
 
 let pe_scheme =
   {

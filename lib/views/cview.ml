@@ -53,6 +53,13 @@ let of_graph ctx g v ~depth =
   in
   go v depth
 
+let find_tree ctx =
+  View_tree.fold_shared (fun t children ->
+      if Array.exists (fun (_, c) -> Option.is_none c) children then None
+      else
+        let key = Array.map (fun (q, c) -> (q, (Option.get c).id)) children in
+        Hashtbl.find_opt ctx.intern (t.View_tree.degree, key))
+
 let equal a b = a.id = b.id
 
 let truncate ctx t ~depth =

@@ -32,6 +32,10 @@ val of_graph :
   ctx -> Shades_graph.Port_graph.t -> Shades_graph.Port_graph.vertex ->
   depth:int -> t
 
+(** [find_tree ctx tree] is the view interned in [ctx] equal to [tree], if
+    any, in O(distinct nodes of [tree]); [ctx] gains no cell. *)
+val find_tree : ctx -> View_tree.t -> t option
+
 (** Structural equality — O(1) within one context. *)
 val equal : t -> t -> bool
 

@@ -18,8 +18,27 @@ let rec of_graph g v ~depth =
 let rec height t =
   Array.fold_left (fun acc (_, sub) -> max acc (1 + height sub)) 0 t.children
 
-let rec node_count t =
-  Array.fold_left (fun acc (_, sub) -> acc + node_count sub) 1 t.children
+module Phys = Hashtbl.Make (struct
+  type nonrec t = t
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let fold_shared f t =
+  let memo = Phys.create 64 in
+  let rec go t =
+    match Phys.find_opt memo t with
+    | Some r -> r
+    | None ->
+        let r = f t (Array.map (fun (q, sub) -> (q, go sub)) t.children) in
+        Phys.add memo t r;
+        r
+  in
+  go t
+
+let node_count =
+  fold_shared (fun _ children ->
+      Array.fold_left (fun acc (_, count) -> acc + count) 1 children)
 
 let rec compare a b =
   let c = Int.compare a.degree b.degree in

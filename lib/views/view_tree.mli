@@ -34,6 +34,11 @@ val height : t -> int
 (** Number of tree nodes. *)
 val node_count : t -> int
 
+(** [fold_shared f t] folds bottom-up, [f node children] seeing each
+    child's result beside its arrival port, and calls [f] once per
+    physically distinct node: a gathered view shares its subtrees. *)
+val fold_shared : (t -> (int * 'a) array -> 'a) -> t -> 'a
+
 val equal : t -> t -> bool
 
 (** Total order: degree, then child count, then children pairwise by

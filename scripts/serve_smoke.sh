@@ -2,7 +2,8 @@
 # serve-smoke: boot the daemon, hit every endpoint once through the
 # client (an async trace replayed locally and on the daemon included),
 # and assert that a repeated advise is served from the advice
-# cache without recomputation.  Then restart the daemon on the same
+# cache without recomputation, and that a deep (ψ = 19) election
+# answers verified.  Then restart the daemon on the same
 # --cache-dir and assert the disk tier answers with zero recomputation,
 # and scrape the HTTP plane (/healthz, /metrics) with curl.  The
 # daemon's final metrics snapshot is written to SERVE_METRICS (and the
@@ -182,6 +183,13 @@ grep -q '"advise_computes":{"kind":"counter","value":2}' "$WORK/stats.json" \
     || { cp "$WORK/stats.json" "${SERVE_METRICS%.json}.stats-on-fail.json" \
              2>/dev/null || true; \
          fail "unexpected oracle-run count"; }
+
+# a deep minimum-time election: ψ_PPE = 19 on path:40, where one
+# node's explicit depth-19 view has a million nodes; the map-advice
+# nodes look their view up in the interned map instead of rebuilding
+# it, so this answers in well under a second
+client elect -g path:40 -t ppe > "$WORK/elect_deep.json" || fail "deep elect"
+grep -q '"verified":true' "$WORK/elect_deep.json" || fail "deep elect verdict"
 
 stop_daemon
 [ -f "$SERVE_METRICS" ] || fail "daemon wrote no metrics snapshot"

@@ -249,6 +249,86 @@ let prop_map_advice_all =
           in
           ok_s && ok_pe && ok_ppe && ok_cppe)
 
+(* The map-advice decision as it was before the map's views were
+   interned: every node rebuilds each map vertex's explicit depth-ψ view
+   and takes the answer of the first one equal to its own. *)
+let scan_outputs psi solve g =
+  let map = Port_graph.decode (Port_graph.encode g) in
+  let k = Option.get (psi map) in
+  let answers = Option.get (solve map ~depth:k) in
+  Shades_localsim.Full_info.run g ~rounds:k
+    ~advice:Shades_bits.Bitstring.empty ~decide:(fun ~advice:_ view ->
+      let rec find v =
+        if
+          Shades_views.View_tree.equal
+            (Shades_views.View_tree.of_graph map v ~depth:k)
+            view
+        then v
+        else find (v + 1)
+      in
+      answers.(find 0))
+
+let timings =
+  Shades_localsim.Exec.
+    [ default; { default with timing = Sharded (Some 2) } ]
+
+let prop_map_advice_matches_scan =
+  QCheck.Test.make ~name:"map-advice lookup = explicit-tree scan" ~count:50
+    rand_graph (fun params ->
+      let g = build params in
+      let agrees scheme psi solve exec =
+        (Scheme.run ~exec scheme g).Scheme.outputs = scan_outputs psi solve g
+      in
+      match Index.psi_s g with
+      | None -> QCheck.assume_fail ()
+      | Some _ ->
+          List.for_all
+            (fun exec ->
+              agrees Map_advice.selection Index.psi_s Index.solve_s exec
+              && agrees Map_advice.port_election Index.psi_pe Index.solve_pe
+                   exec
+              && agrees Map_advice.port_path_election Index.psi_ppe
+                   Index.solve_ppe exec
+              && agrees Map_advice.complete_port_path_election
+                   Index.psi_cppe Index.solve_cppe exec)
+            timings)
+
+(* The daemon's election path: advice computed once on the canonical
+   form serves every renumbering, so the leader moves with the
+   renumbering — the end-to-end elect-iso benchmark's correctness check. *)
+let prop_elect_follows_renumbering =
+  QCheck.Test.make ~name:"elect on a renumbering elects perm.(leader)"
+    ~count:50 rand_graph (fun ((seed, n, _) as params) ->
+      let g = build params in
+      let perm = Array.init n Fun.id in
+      let st = Random.State.make [| seed; 1 |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let renumbered = Port_graph.renumber g perm in
+      match Index.psi_s g with
+      | None -> QCheck.assume_fail ()
+      | Some _ ->
+          List.for_all
+            (fun task ->
+              let (Shade.Shade { scheme; _ }) = Shade.min_time task in
+              let advice =
+                scheme.Scheme.oracle (fst (Port_graph.canonical g))
+              in
+              let leader h =
+                let outputs =
+                  (Scheme.run_with_advice scheme h ~advice).Scheme.outputs
+                in
+                List.find
+                  (fun v -> outputs.(v) = Task.Leader)
+                  (List.init n Fun.id)
+              in
+              leader renumbered = perm.(leader g))
+            Task.all)
+
 let prop_selection_advice_poly =
   (* Theorem 2.2's bound: advice <= c * ∆^ψ_S * log ∆ bits for a
      generous constant (our gamma code is within a small factor). *)
@@ -418,6 +498,57 @@ let test_pe_sharable () =
   Alcotest.(check bool) "small controls sharable" true
     (Min_advice.pe_sharable ~depth:0 (Gen.star 4) (Gen.path 3))
 
+(* --- per-advice plans --- *)
+
+let test_plan_once_per_run () =
+  let calls = ref 0 in
+  let plan =
+    Scheme.plan (fun advice ->
+        incr calls;
+        Shades_bits.Bitstring.length advice)
+  in
+  let scheme =
+    {
+      Scheme.name = "counting";
+      oracle = Port_graph.encode;
+      rounds_of = (fun ~advice ~degree:_ -> min 2 (plan advice));
+      decide = (fun ~advice _ -> plan advice);
+    }
+  in
+  let g = Gen.path 8 in
+  let advice = scheme.Scheme.oracle g in
+  ignore (Scheme.run_with_advice scheme g ~advice);
+  Alcotest.(check int) "one plan for 8 nodes" 1 !calls;
+  ignore (Scheme.run_with_advice scheme g ~advice);
+  Alcotest.(check int) "the same advice value plans once" 1 !calls;
+  ignore (Scheme.run scheme g);
+  Alcotest.(check int) "a fresh advice value plans again" 2 !calls;
+  let raised = ref 0 in
+  let failing =
+    Scheme.plan (fun _ ->
+        incr raised;
+        failwith "no plan")
+  in
+  for _ = 1 to 2 do
+    match failing advice with
+    | _ -> Alcotest.fail "the plan should raise"
+    | exception Failure _ -> ()
+  done;
+  Alcotest.(check int) "exceptions are not cached" 2 !raised
+
+(* ψ_PPE = 29 on path:60: one node's explicit depth-29 view has 2^30
+   nodes, so every shade must elect without building one. *)
+let test_min_time_deep_path () =
+  let g = Shades_server.Spec.parse_exn "path:60" in
+  List.iter
+    (fun task ->
+      let (Shade.Shade { scheme; verify; _ }) = Shade.min_time task in
+      match verify g (Scheme.run scheme g).Scheme.outputs with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "%s on path:60: %s" (Task.kind_to_string task) e)
+    Task.all
+
 (* --- the shade table --- *)
 
 (* Both constructors, every task: the scheme's own referee accepts its
@@ -478,6 +609,9 @@ let () =
             test_select_by_view_line;
           Alcotest.test_case "map advice on line" `Quick test_map_advice_line;
           Alcotest.test_case "shade table" `Quick test_shade_table;
+          Alcotest.test_case "plan once per run" `Quick test_plan_once_per_run;
+          Alcotest.test_case "min-time on path:60" `Quick
+            test_min_time_deep_path;
         ] );
       ( "min_advice",
         [
@@ -495,6 +629,8 @@ let () =
             prop_solutions_verify;
             prop_select_by_view;
             prop_map_advice_all;
+            prop_map_advice_matches_scan;
+            prop_elect_follows_renumbering;
             prop_selection_advice_poly;
             prop_verifiers_reject_corruptions;
             prop_pe_rejects_disconnecting_port;

@@ -241,6 +241,58 @@ let prop_class_sizes_equal =
       let sizes = Array.map List.length classes in
       Array.for_all (fun s -> s = sizes.(0)) sizes)
 
+(* Views as the full-information protocol gathers them: DAGs whose
+   subtrees are shared between neighbours and rounds. *)
+let gathered g ~depth =
+  Shades_localsim.Full_info.run g ~rounds:depth
+    ~advice:Shades_bits.Bitstring.empty ~decide:(fun ~advice:_ view -> view)
+
+let rec explicit_count t =
+  Array.fold_left (fun acc (_, sub) -> acc + explicit_count sub) 1
+    t.View_tree.children
+
+let prop_node_count_shared =
+  QCheck.Test.make ~name:"node_count of a shared view = explicit count"
+    ~count:100 rand_graph (fun ((_, _, _, depth) as params) ->
+      let g = build params in
+      Array.for_all
+        (fun view -> View_tree.node_count view = explicit_count view)
+        (gathered g ~depth))
+
+(* [find_tree] is exact: it finds a gathered view iff some interned map
+   view is equal to it as an explicit tree, and then it returns that
+   view's cell.  Views gathered on a second graph exercise misses; a view
+   one round deeper than anything interned must miss. *)
+let prop_find_tree_exact =
+  QCheck.Test.make ~name:"Cview.find_tree = explicit-tree scan" ~count:100
+    rand_graph (fun ((seed, n, extra, depth) as params) ->
+      let g = build params in
+      let other = build (seed + 1, n, extra, depth) in
+      let ctx = Cview.create_ctx () in
+      let cells = Array.init n (fun v -> Cview.of_graph ctx g v ~depth) in
+      let trees = Array.init n (fun v -> View_tree.of_graph g v ~depth) in
+      let agrees view =
+        let expected =
+          List.find_opt
+            (fun v -> View_tree.equal trees.(v) view)
+            (List.init n Fun.id)
+        in
+        match (Cview.find_tree ctx view, expected) with
+        | None, None -> true
+        | Some c, Some v -> Cview.equal c cells.(v)
+        | _ -> false
+      in
+      Array.for_all2
+        (fun view cell ->
+          match Cview.find_tree ctx view with
+          | Some c -> Cview.equal c cell
+          | None -> false)
+        (gathered g ~depth) cells
+      && Array.for_all agrees (gathered other ~depth)
+      && Array.for_all
+           (fun view -> Option.is_none (Cview.find_tree ctx view))
+           (gathered g ~depth:(depth + 1)))
+
 let () =
   Alcotest.run "shades_views"
     [
@@ -275,5 +327,7 @@ let () =
             prop_compare_total;
             prop_quotient_covering;
             prop_class_sizes_equal;
+            prop_node_count_shared;
+            prop_find_tree_exact;
           ] );
     ]
