@@ -28,12 +28,21 @@ let stage = Staged.stage
 
 (* --- E1: index hierarchy on random graphs --- *)
 
+(* The two route-search kernels: one of the slowest CPPE graphs of the
+   end-to-end cold-advise stream (spec random:9000839,40,13, ψ_CPPE = 2,
+   where the joint route search meets many dead ends), and path:60,
+   where ψ_PPE = 29 is far above ψ_S = 1 and the depth search matters. *)
 let bench_index =
   let g = Gen.random (Random.State.make [| 7 |]) 7 ~extra_edges:3 in
+  let cold = Gen.random (Random.State.make [| 9000839 |]) 40 ~extra_edges:13 in
+  let path60 = Gen.path 60 in
   Test.make_grouped ~name:"index"
     [
       Test.make ~name:"hierarchy_n7" (stage (fun () -> Index.all g));
       Test.make ~name:"psi_s_n7" (stage (fun () -> Index.psi_s g));
+      Test.make ~name:"psi_cppe_random_n40"
+        (stage (fun () -> Index.psi_cppe cold));
+      Test.make ~name:"psi_ppe_path60" (stage (fun () -> Index.psi_ppe path60));
     ]
 
 (* --- views and refinement (machinery behind every experiment) --- *)

@@ -279,9 +279,8 @@ let canonical g =
   let perm, _ = Option.get !best in
   (renumber g perm, perm)
 
-let digest g =
-  let canon, _ = canonical g in
-  let bits = encode canon in
+let encoding_digest g =
+  let bits = encode g in
   let packed = Shades_bits.Bitstring.to_packed bits in
   (* the bit length disambiguates encodings whose padding coincides *)
   let payload =
@@ -290,6 +289,8 @@ let digest g =
     ^ Bytes.unsafe_to_string packed
   in
   Digest.to_hex (Digest.string payload)
+
+let digest g = encoding_digest (fst (canonical g))
 
 module Csr = struct
   (* Compressed sparse row: cell [row.(v) + p] holds port [p] of vertex

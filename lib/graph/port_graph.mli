@@ -108,8 +108,12 @@ val encode : t -> Shades_bits.Bitstring.t
     malformed input. *)
 val decode : Shades_bits.Bitstring.t -> t
 
-(** [digest g] is a hex digest (MD5) of the {e canonical} map encoding
-    — {!encode} of {!canonical}'s result, tagged with its bit length.
+(** [encoding_digest g] is a hex digest (MD5) of [encode g] tagged
+    with its bit length: a digest of the vertex numbering as given. *)
+val encoding_digest : t -> string
+
+(** [digest g] is a hex digest (MD5) of the {e canonical} map encoding:
+    [encoding_digest (fst (canonical g))].
     Two connected graphs have equal digests iff they are
     port-preserving isomorphic, so the digest is a content address for
     the anonymous network itself, independent of the vertex numbering

@@ -117,44 +117,47 @@ let uptime_seconds t =
 
 (* --- the advice cache --- *)
 
-(* A cheap digest of the submitted (non-canonical) encoding, used as a
+(* [encoding] is the digest of the submitted (non-canonical) encoding
+   ([Port_graph.encoding_digest], computed once per request).  It is the
    memo index in front of the canonical content address (repeated
    queries on byte-identical topologies skip even canonicalization) and
-   as the representation-bound half of the elect/verify result keys:
+   the representation-bound half of the elect/verify result keys:
    advice is isomorphism-invariant, but per-node outputs are indexed by
    the vertices of the graph as submitted, so full results must never
-   be shared between isomorphic renumberings. *)
-let encoding_digest g =
-  let bits = Port_graph.encode g in
-  let payload =
-    string_of_int (Bitstring.length bits)
-    ^ ":"
-    ^ Bytes.unsafe_to_string (Bitstring.to_packed bits)
-  in
-  Digest.to_hex (Digest.string payload)
+   be shared between isomorphic renumberings.
 
-let canonical_digest t g =
-  match Cache.find t.memo (encoding_digest g) with
-  | Some digest -> digest
+   Returns the canonical digest of [g], plus the canonical graph when
+   this call had to compute it (a memo miss), so that an advice miss
+   right after does not canonicalize a second time. *)
+let canonical_digest t ~encoding g =
+  match Cache.find t.memo encoding with
+  | Some digest -> (digest, None)
   | None ->
-      let digest =
-        Metrics.time t.metrics "canonicalize" (fun () -> Port_graph.digest g)
+      let canon =
+        Metrics.time t.metrics "canonicalize" (fun () ->
+            fst (Port_graph.canonical g))
       in
-      Cache.put t.memo (encoding_digest g) digest;
-      digest
+      let digest = Port_graph.encoding_digest canon in
+      Cache.put t.memo encoding digest;
+      (digest, Some canon)
 
 (* [advise_entry] is the one path to cached advice: every endpoint that
    needs advice funnels through it, so hit/miss/compute counters tell
    one coherent story. *)
-let advise_entry t g task =
-  let digest = canonical_digest t g in
+let advise_entry t ~encoding g task =
+  let digest, canon = canonical_digest t ~encoding g in
   let key = cache_key ~digest ~task in
   let (Shade.Shade { scheme; _ }) = Shade.min_time task in
   let entry, hit =
     Cache.find_or_compute t.advice key ~compute:(fun () ->
         Metrics.incr t.metrics "advise_computes";
-        let canon, _ =
-          Metrics.time t.metrics "canonicalize" (fun () -> Port_graph.canonical g)
+        let canon =
+          match canon with
+          | Some canon -> canon
+          | None ->
+              (* memo hit, advice evicted *)
+              Metrics.time t.metrics "canonicalize" (fun () ->
+                  fst (Port_graph.canonical g))
         in
         let advice =
           Metrics.time t.metrics "oracle" (fun () -> scheme.Scheme.oracle canon)
@@ -212,7 +215,9 @@ let append_member name value = function
 let advise t req =
   let g = graph_exn req in
   let task = task_exn req in
-  let digest, entry, cached = advise_entry t g task in
+  let digest, entry, cached =
+    advise_entry t ~encoding:(Port_graph.encoding_digest g) g task
+  in
   if cached then Metrics.incr t.metrics "computes_avoided";
   Protocol.ok_response ~op:"advise"
     (Json.Obj
@@ -259,9 +264,8 @@ let elect t req =
     | Ok e -> e
     | Error e -> failwith e
   in
-  let key =
-    elect_key ~digest:(encoding_digest g) ~task ~engine:result_engine
-  in
+  let encoding = Port_graph.encoding_digest g in
+  let key = elect_key ~digest:encoding ~task ~engine:result_engine in
   let result, result_cached =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "elect_computes";
@@ -271,7 +275,7 @@ let elect t req =
           | Async _ ->
               (* the α-synchronizer path exercises the full scheme (oracle
                  included) — it pins schedules, not advice reuse *)
-              let digest = canonical_digest t g in
+              let digest, _ = canonical_digest t ~encoding g in
               let run =
                 Metrics.time t.metrics "elect" (fun () -> Scheme.run ~exec scheme g)
               in
@@ -279,7 +283,7 @@ let elect t req =
           | Sequential | Sharded _ ->
               (* the sync path reuses the cached advice end-to-end: a warm
                  election never recomputes the oracle *)
-              let digest, entry, cached = advise_entry t g task in
+              let digest, entry, cached = advise_entry t ~encoding g task in
               let run =
                 Metrics.time t.metrics "elect" (fun () ->
                     Scheme.run_with_advice ~exec scheme g ~advice:entry.advice)
@@ -324,9 +328,8 @@ let verify_outputs t req =
   (* keyed on the re-rendered parse tree, so two spellings of the same
      JSON (whitespace, escapes) share an entry *)
   let outputs_digest = Digest.to_hex (Digest.string (Json.to_string outputs_json)) in
-  let key =
-    verify_key ~digest:(encoding_digest g) ~task ~outputs_digest
-  in
+  let encoding = Port_graph.encoding_digest g in
+  let key = verify_key ~digest:encoding ~task ~outputs_digest in
   let result, cached =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "verify_computes";
@@ -350,7 +353,7 @@ let verify_outputs t req =
           Metrics.time t.metrics "verify" (fun () ->
               verify g (Array.of_list outputs))
         in
-        let digest = canonical_digest t g in
+        let digest, _ = canonical_digest t ~encoding g in
         Json.Obj
           ([
              ("digest", Json.String digest);

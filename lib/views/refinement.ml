@@ -120,14 +120,15 @@ let equal_views_cross ga va gb vb ~depth =
   let t = compute union ~depth in
   equal_views t ~depth (off.(0) + va) (off.(1) + vb)
 
-let min_unique_depth g =
-  let t = fixpoint g in
+let first_singleton_depth t =
   let rec go d =
     if d > depth t then None
     else if singletons t ~depth:d <> [] then Some d
     else go (d + 1)
   in
   go 0
+
+let min_unique_depth g = first_singleton_depth (fixpoint g)
 
 let feasible g =
   let t = fixpoint g in

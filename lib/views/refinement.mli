@@ -53,6 +53,10 @@ val equal_views_cross :
   Shades_graph.Port_graph.t -> Shades_graph.Port_graph.vertex ->
   depth:int -> bool
 
+(** [first_singleton_depth t] is the least depth [<= depth t] with a
+    singleton class, or [None] if [t] has none. *)
+val first_singleton_depth : t -> int option
+
 (** Minimum depth (≤ the stabilization depth) at which some vertex has a
     unique view, or [None] if none exists even at the fixpoint.  By
     Proposition 2.1 this is exactly the Selection index ψ_S when the

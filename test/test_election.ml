@@ -345,21 +345,155 @@ let prop_selection_advice_poly =
           in
           float_of_int (Select_by_view.advice_bits g) <= bound)
 
+(* Random graphs up to 14 nodes: big enough for multi-member classes
+   whose joint routes branch and cross, small enough for the list-based
+   reference search below. *)
+let rand_graph14 =
+  QCheck.make
+    ~print:(fun (seed, n, e) -> Printf.sprintf "seed=%d n=%d extra=%d" seed n e)
+    QCheck.Gen.(triple (int_bound 10_000) (int_range 2 14) (int_bound 8))
+
+let fixpoint_depth g =
+  Shades_views.Refinement.depth (Shades_views.Refinement.fixpoint g)
+
+let solvable kind g ~depth =
+  match kind with
+  | Task.S -> Option.is_some (Index.solve_s g ~depth)
+  | Task.PE -> Option.is_some (Index.solve_pe g ~depth)
+  | Task.PPE -> Option.is_some (Index.solve_ppe g ~depth)
+  | Task.CPPE -> Option.is_some (Index.solve_cppe g ~depth)
+
 let prop_solvability_monotone =
   (* More time never hurts: a task solvable in k rounds is solvable in
-     k+1 (classes only shrink, so per-class constraints only weaken). *)
+     k+1 (classes only shrink and the leader stays a singleton, so
+     per-class constraints only weaken) — the lemma the galloping ψ
+     search relies on, checked at every depth up to the fixpoint. *)
   QCheck.Test.make ~name:"solvability is monotone in depth" ~count:60
-    rand_graph (fun params ->
+    rand_graph14 (fun params ->
       let g = build params in
-      let mono psi solve =
-        match psi g with
-        | None -> true
-        | Some k -> Option.is_some (solve g ~depth:(k + 1))
+      let top = fixpoint_depth g in
+      List.for_all
+        (fun kind ->
+          List.for_all
+            (fun k ->
+              (not (solvable kind g ~depth:k)) || solvable kind g ~depth:(k + 1))
+            (List.init (top + 1) Fun.id))
+        Task.all)
+
+(* The joint route search as it was before the reachability cut: visited
+   sets are lists, and every subtree is explored.  The pruned search
+   must find exactly the same first route in lexicographic order. *)
+let reference_route g ~leader ~members ~arrival =
+  let max_len = Port_graph.order g - 1 in
+  let rec extend route_rev len positions visiteds =
+    if List.for_all (fun x -> x = leader) positions then
+      Some (List.rev route_rev)
+    else if len >= max_len || List.exists (fun x -> x = leader) positions
+    then None
+    else begin
+      let deg_min =
+        List.fold_left (fun acc x -> min acc (Port_graph.degree g x))
+          max_int positions
       in
-      mono Index.psi_s (fun g ~depth -> Index.solve_s g ~depth)
-      && mono Index.psi_pe (fun g ~depth -> Index.solve_pe g ~depth)
-      && mono Index.psi_ppe (fun g ~depth -> Index.solve_ppe g ~depth)
-      && mono Index.psi_cppe (fun g ~depth -> Index.solve_cppe g ~depth))
+      let rec try_port p =
+        if p >= deg_min then None
+        else begin
+          let steps = List.map (fun x -> Port_graph.neighbor g x p) positions in
+          let q0 = snd (List.hd steps) in
+          let agree =
+            (not arrival) || List.for_all (fun (_, q) -> q = q0) steps
+          in
+          let simple =
+            List.for_all2 (fun (u, _) vis -> not (List.mem u vis)) steps visiteds
+          in
+          let result =
+            if agree && simple then
+              extend ((p, q0) :: route_rev) (len + 1) (List.map fst steps)
+                (List.map2 (fun (u, _) vis -> u :: vis) steps visiteds)
+            else None
+          in
+          match result with Some r -> Some r | None -> try_port (p + 1)
+        end
+      in
+      try_port 0
+    end
+  in
+  extend [] 0 members (List.map (fun v -> [ v ]) members)
+
+let reference_solve g ~depth ~arrival =
+  let module R = Shades_views.Refinement in
+  let t = R.compute g ~depth in
+  let groups = Array.to_list (R.classes t ~depth) in
+  let with_leader leader =
+    let answers = Array.make (Port_graph.order g) Task.Leader in
+    let rec go = function
+      | [] -> Some answers
+      | members :: rest when members = [ leader ] -> go rest
+      | members :: rest -> (
+          match reference_route g ~leader ~members ~arrival with
+          | None -> None
+          | Some route ->
+              List.iter (fun v -> answers.(v) <- Task.Follower route) members;
+              go rest)
+    in
+    go groups
+  in
+  List.find_map with_leader (List.sort Int.compare (R.singletons t ~depth))
+
+let prop_route_search_matches_reference =
+  QCheck.Test.make ~name:"pruned route search = exhaustive reference"
+    ~count:500 rand_graph14 (fun params ->
+      let g = build params in
+      List.for_all
+        (fun depth ->
+          let ppe =
+            Option.map
+              (Array.map (function
+                | Task.Leader -> Task.Leader
+                | Task.Follower route -> Task.Follower (List.map fst route)))
+              (reference_solve g ~depth ~arrival:false)
+          in
+          Index.solve_ppe g ~depth = ppe
+          && Index.solve_cppe g ~depth = reference_solve g ~depth ~arrival:true)
+        (List.init (fixpoint_depth g + 2) Fun.id))
+
+(* ψ by the definition: the least solvable depth from ψ_S up to the
+   fixpoint depth, tried one at a time. *)
+let linear_psi kind g =
+  match Shades_views.Refinement.min_unique_depth g with
+  | None -> None
+  | Some start ->
+      let top = fixpoint_depth g in
+      List.find_opt
+        (fun k -> solvable kind g ~depth:k)
+        (List.init (top - start + 1) (fun i -> start + i))
+
+let psi_matches_linear g =
+  let psis = Index.all g in
+  List.for_all
+    (fun kind ->
+      let linear = linear_psi kind g in
+      Index.psi kind g = linear && List.assoc kind psis = linear)
+    Task.all
+
+(* A path on [n] vertices whose interior nodes are each oriented at
+   random (port 0 left or right). *)
+let port_line seed n =
+  let st = Random.State.make [| seed |] in
+  let toward_right = Array.init n (fun _ -> Random.State.int st 2) in
+  Gen.path_with_ports
+    (List.init (n - 1) (fun v ->
+         ( (if v = 0 then 0 else toward_right.(v)),
+           if v + 1 = n - 1 then 0 else 1 - toward_right.(v + 1) )))
+
+(* Random graphs rarely put ψ two depths above ψ_S; about one randomly
+   oriented line in twenty puts it there and below the fixpoint depth,
+   so the bisection after the gallop has a gap to search. *)
+let prop_galloping_psi =
+  QCheck.Test.make ~name:"galloping psi = linear scan" ~count:300
+    QCheck.(pair rand_graph14 (int_range 2 24))
+    (fun (((seed, _, _) as params), n) ->
+      psi_matches_linear (build params) && psi_matches_linear (port_line seed n))
 
 (* --- verifier robustness: guaranteed-invalid corruptions rejected --- *)
 
@@ -635,6 +769,8 @@ let () =
             prop_verifiers_reject_corruptions;
             prop_pe_rejects_disconnecting_port;
             prop_solvability_monotone;
+            prop_route_search_matches_reference;
+            prop_galloping_psi;
             prop_broadcast_after_selection;
           ] );
     ]

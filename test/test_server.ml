@@ -775,6 +775,50 @@ let test_service_eviction () =
   Alcotest.(check int) "capacity 1 evicts" 2 (counter m "advice_cache_evictions");
   Alcotest.(check int) "every advise recomputed" 3 (counter m "advise_computes")
 
+let timings m name =
+  match List.assoc_opt name (Metrics.snapshot m) with
+  | Some (Metrics.Timing { count; _ }) -> count
+  | _ -> 0
+
+(* A cold advise canonicalizes once: the memo miss and the advice miss
+   share one canonical form, and the digest it answers is the graph's
+   canonical content address. *)
+let test_service_cold_advise_canonicalizes_once () =
+  let s = Service.create () in
+  let m = Service.metrics s in
+  let spec = "random:17,30,10" in
+  let r =
+    result_of
+      (handle_ok s
+         (Json.Obj
+            [
+              ("op", Json.String "advise");
+              ("graph", Json.String spec);
+              ("task", Json.String "cppe");
+            ]))
+  in
+  Alcotest.(check int) "one canonicalization" 1 (timings m "canonicalize");
+  Alcotest.(check int) "one oracle run" 1 (counter m "advise_computes");
+  Alcotest.(check bool)
+    "digest is the canonical digest" true
+    (Json.member "digest" r
+    = Some (Json.String (Shades_graph.Port_graph.digest (Spec.parse_exn spec))))
+
+(* A memo hit whose advice entry was evicted canonicalizes again and
+   serves the advice of its own graph, not of the last one seen. *)
+let test_service_evicted_advice_recomputed () =
+  let s = Service.create ~cache_capacity:1 () in
+  let m = Service.metrics s in
+  let advice spec = Json.member "advice" (result_of (handle_ok s (advise_req spec))) in
+  let first = advice "random:3,12,4" in
+  let other = advice "random:4,12,4" in
+  let again = advice "random:3,12,4" in
+  Alcotest.(check bool) "the two graphs' advice differ" true (first <> other);
+  Alcotest.(check int) "memo answered the third advise" 1 (counter m "memo_hits");
+  Alcotest.(check int) "advice recomputed" 3 (counter m "advise_computes");
+  Alcotest.(check int) "three canonicalizations" 3 (timings m "canonicalize");
+  Alcotest.(check bool) "same advice as the cold run" true (first = again)
+
 let test_service_elect_and_verify () =
   let s = Service.create () in
   let elect =
@@ -1435,6 +1479,10 @@ let () =
           Alcotest.test_case "structured errors" `Quick test_service_errors;
           Alcotest.test_case "cache behaviour" `Quick test_service_cache_behaviour;
           Alcotest.test_case "eviction" `Quick test_service_eviction;
+          Alcotest.test_case "cold advise canonicalizes once" `Quick
+            test_service_cold_advise_canonicalizes_once;
+          Alcotest.test_case "evicted advice recomputed" `Quick
+            test_service_evicted_advice_recomputed;
           Alcotest.test_case "elect + verify" `Quick test_service_elect_and_verify;
           Alcotest.test_case "elect sharded" `Quick test_service_elect_sharded;
           Alcotest.test_case "elect async" `Quick test_service_elect_async;
